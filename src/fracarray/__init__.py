@@ -11,8 +11,6 @@ from .core import (
     ArrayFormatError,
     CoarrayProfile,
     SensorArray,
-    aperture,
-    central_ula,
     difference_coarray,
     dump_array,
     is_symmetric,
@@ -20,7 +18,7 @@ from .core import (
     parse_array,
     reversed_array,
 )
-from .fractal import FractalSpec, cantor, expand, expand_multi
+from .fractal import cantor, expand
 from .analysis import (
     Beampattern,
     EconomyReport,
@@ -31,7 +29,6 @@ from .analysis import (
     weight_expand,
 )
 from .coupling import (
-    CouplingMatrix,
     CouplingModel,
     coupling_leakage,
     coupling_matrix,

@@ -43,7 +43,7 @@ def fractal_weight(generator, r):
     if r < 0:
         raise ValueError("order must be non-negative")
     prof = difference_coarray(generator)
-    M = 2 * prof.central_ula_halfwidth + 1
+    M = prof.ula_size
     out = np.ones(1, dtype=np.int64)
     for i in range(r):
         out = np.convolve(out, _full(weight_expand(prof.counts, M ** i)))
@@ -64,9 +64,15 @@ class Beampattern:
 
 
 def _weight_dtft(w, om):
+    # cosine form keeps the result exactly real; chunked over the omega rows
+    # so the samples x lags table stays bounded for large apertures
     lags = np.arange(1, w.size)
-    # cosine form keeps the result exactly real
-    return w[0] + 2.0 * (np.asarray(w[1:], float)[None, :] * np.cos(np.outer(om, lags))).sum(axis=1)
+    wf = np.asarray(w[1:], float)
+    sums = np.empty(om.size)
+    step = max(1, 4_000_000 // max(lags.size, 1))
+    for i in range(0, om.size, step):
+        sums[i:i + step] = (wf[None, :] * np.cos(np.outer(om[i:i + step], lags))).sum(axis=1)
+    return w[0] + 2.0 * sums
 
 
 def beampattern(array, omegas):
@@ -85,7 +91,7 @@ def product_beampattern(generator, r, omegas):
     if r < 0:
         raise ValueError("order must be non-negative")
     prof = difference_coarray(generator)
-    M = 2 * prof.central_ula_halfwidth + 1
+    M = prof.ula_size
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     vals = np.ones_like(om)
     for i in range(r):

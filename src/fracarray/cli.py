@@ -19,11 +19,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import beampattern, economy
-from .baselines import BaselineSpec, build_baseline
+from .baselines import _BUILDERS, BaselineSpec, build_baseline
 from .core import ArrayFormatError, SensorArray, difference_coarray, dump_array, is_symmetric, load_array
 from .coupling import CouplingModel, leakage_from_profile
 from .doa import DEFAULT_GRID, Scenario, equally_spaced_thetas, run_sweep
-from .fractal import FractalSpec, cantor
+from .fractal import MAX_ORDER, cantor, expand
 from .search import DesignConstraints, solve_p1
 
 
@@ -63,14 +63,10 @@ def _write_manifest(out_path, argv, args):
         fh.write("\n")
 
 
-def _frac_str(f):
-    return f"{f.numerator}/{f.denominator} ({float(f):.4f})"
-
-
 def _summary_line(array):
     p = difference_coarray(array)
     return (f"N={len(array)} aperture={array.aperture} |D|={p.dof} "
-            f"|U|={2 * p.central_ula_halfwidth + 1} hole_free={p.hole_free} "
+            f"|U|={p.ula_size} hole_free={p.hole_free} "
             f"symmetric={is_symmetric(array)}")
 
 
@@ -144,41 +140,65 @@ def _parse_range(text):
     return lo, hi
 
 
+# One row per metric, in display order: the compare key, the analyze label
+# and the analyze JSON key (None where analyze omits the metric).
+_METRICS = (
+    ("n", "sensors", "sensors"),
+    ("aperture", "aperture", "aperture"),
+    ("dof", "coarray size |D|", "dof"),
+    ("ula", "central ULA |U|", "ula_size"),
+    ("hole_free", "hole-free", "hole_free"),
+    ("symmetric", "symmetric", "symmetric"),
+    ("fragility", "fragility", "fragility"),
+    ("economy", "maximally economic", "maximally_economic"),
+    ("c1", "C1 satisfied", "satisfies_C1"),
+    ("leakage", None, None),
+)
+_COMPARE_METRICS = tuple(row[0] for row in _METRICS)
+
+
+def _measure(array, model=None):
+    """Every metric of one array keyed by compare key, plus the essential
+    sensors; leakage needs a coupling model."""
+    prof = difference_coarray(array)
+    rep = economy(array)
+    return {
+        "n": len(array),
+        "aperture": array.aperture,
+        "dof": prof.dof,
+        "ula": prof.ula_size,
+        "hole_free": prof.hole_free,
+        "symmetric": is_symmetric(array),
+        "fragility": rep.fragility,
+        "economy": rep.maximally_economic,
+        "c1": rep.satisfies_C1,
+        "leakage": None if model is None else leakage_from_profile(prof, model),
+        "essential": list(rep.essential),
+    }
+
+
+def _cell(value):
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator} ({float(value):.4f})"
+    if isinstance(value, float):
+        return f"{value:.4f}"
+    return str(value)
+
+
 # subcommand handlers
 
 def _cmd_analyze(args, argv):
     array = load_array(args.array)
-    prof = difference_coarray(array)
-    rep = economy(array)
-    report = {
-        "name": array.name,
-        "elements": list(array.elements),
-        "sensors": len(array),
-        "aperture": array.aperture,
-        "dof": prof.dof,
-        "ula_size": 2 * prof.central_ula_halfwidth + 1,
-        "hole_free": prof.hole_free,
-        "symmetric": is_symmetric(array),
-        "fragility": {"numerator": rep.fragility.numerator,
-                      "denominator": rep.fragility.denominator,
-                      "value": float(rep.fragility)},
-        "maximally_economic": rep.maximally_economic,
-        "satisfies_C1": rep.satisfies_C1,
-        "essential": list(rep.essential),
-    }
-    rows = [
-        ("name", array.name or "(unnamed)"),
-        ("elements", " ".join(str(e) for e in array.elements)),
-        ("sensors", str(len(array))),
-        ("aperture", str(array.aperture)),
-        ("coarray size |D|", str(prof.dof)),
-        ("central ULA |U|", str(2 * prof.central_ula_halfwidth + 1)),
-        ("hole-free", str(prof.hole_free)),
-        ("symmetric", str(is_symmetric(array))),
-        ("fragility", _frac_str(rep.fragility)),
-        ("maximally economic", str(rep.maximally_economic)),
-        ("C1 satisfied", str(rep.satisfies_C1)),
-    ]
+    values = _measure(array)
+    rows = [("name", array.name or "(unnamed)"),
+            ("elements", " ".join(str(e) for e in array.elements))]
+    rows += [(label, _cell(values[key])) for key, label, _ in _METRICS if label]
+    report = {"name": array.name, "elements": list(array.elements)}
+    report.update((json_key, values[key]) for key, _, json_key in _METRICS if json_key)
+    f = report["fragility"]
+    report["fragility"] = {"numerator": f.numerator, "denominator": f.denominator,
+                           "value": float(f)}
+    report["essential"] = values["essential"]
     width = max(len(r[0]) for r in rows)
     for key, val in rows:
         print(f"{key:<{width}}  {val}")
@@ -207,8 +227,8 @@ def _cmd_expand(args, argv):
         gens = [load_array(args.generator)]
     else:
         raise ArrayFormatError("give a generator file or --generators")
-    spec = FractalSpec(tuple(gens), args.order)
-    out = spec.build(max_order=args.max_order)
+    # one file is reused at every order, as a positional generator is
+    out = expand(gens[0] if len(gens) == 1 else gens, args.order, max_order=args.max_order)
     if args.name:
         out = SensorArray(out.elements, name=args.name)
     return _emit_array(out, args, argv)
@@ -219,10 +239,8 @@ def _cmd_cantor(args, argv):
 
 
 def _cmd_baseline(args, argv):
-    needs = {"ula": ("n",), "nested": ("n1", "n2"), "coprime": ("m", "n"),
-             "mra": ("n",), "mha": ("n",)}[args.kind]
     params = []
-    for name in needs:
+    for name in _BUILDERS[args.kind][1]:
         val = getattr(args, name)
         if val is None:
             raise ArrayFormatError(f"baseline {args.kind} needs --{name}")
@@ -269,6 +287,14 @@ def _cmd_search(args, argv):
 
 
 def _cmd_simulate(args, argv):
+    if args.threads is None:
+        env = os.environ.get("FRACARRAY_THREADS", "1")
+        try:
+            args.threads = int(env)
+        except ValueError:
+            raise ArrayFormatError(f"FRACARRAY_THREADS={env!r} is not an integer") from None
+    if args.threads < 1:
+        raise ArrayFormatError(f"thread count must be at least 1, got {args.threads}")
     if bool(args.array) == bool(args.baseline):
         raise ArrayFormatError("give exactly one of --array or --baseline")
     array = load_array(args.array) if args.array else _parse_baseline_token(args.baseline)
@@ -322,10 +348,6 @@ def _cmd_simulate(args, argv):
     return 0
 
 
-_COMPARE_METRICS = ("n", "aperture", "dof", "ula", "hole_free", "symmetric",
-                    "fragility", "economy", "c1", "leakage")
-
-
 def _cmd_compare(args, argv):
     arrays = []
     if args.arrays:
@@ -339,53 +361,30 @@ def _cmd_compare(args, argv):
         if m not in _COMPARE_METRICS:
             raise ArrayFormatError(f"unknown metric {m!r}; choose from {_COMPARE_METRICS}")
     model = _coupling_from_args(args)
+    headers = ["array"] + metrics
     rows = []
     for arr in arrays:
-        prof = difference_coarray(arr)
-        rep = economy(arr)
-        cells = {"array": arr.name or " ".join(str(e) for e in arr.elements)}
-        values = {"array": cells["array"]}
-        for m in metrics:
-            if m == "n":
-                val, cell = len(arr), str(len(arr))
-            elif m == "aperture":
-                val, cell = arr.aperture, str(arr.aperture)
-            elif m == "dof":
-                val, cell = prof.dof, str(prof.dof)
-            elif m == "ula":
-                val = 2 * prof.central_ula_halfwidth + 1
-                cell = str(val)
-            elif m == "hole_free":
-                val, cell = prof.hole_free, str(prof.hole_free)
-            elif m == "symmetric":
-                val, cell = is_symmetric(arr), str(is_symmetric(arr))
-            elif m == "fragility":
-                val, cell = float(rep.fragility), _frac_str(rep.fragility)
-            elif m == "economy":
-                val, cell = rep.maximally_economic, str(rep.maximally_economic)
-            elif m == "c1":
-                val, cell = rep.satisfies_C1, str(rep.satisfies_C1)
-            else:
-                val = leakage_from_profile(prof, model)
-                cell = f"{val:.4f}"
-            cells[m] = cell
-            values[m] = val
-        rows.append((cells, values))
-    headers = ["array"] + metrics
-    widths = {h: max(len(h), max(len(r[0][h]) for r in rows)) for h in headers}
+        values = _measure(arr, model)
+        values["array"] = arr.name or " ".join(str(e) for e in arr.elements)
+        rows.append({h: values[h] for h in headers})
+    cells = [{h: _cell(v) for h, v in row.items()} for row in rows]
+    widths = {h: max(len(h), max(len(c[h]) for c in cells)) for h in headers}
     print("  ".join(f"{h:<{widths[h]}}" for h in headers))
-    for cells, _ in rows:
-        print("  ".join(f"{cells[h]:<{widths[h]}}" for h in headers))
+    for c in cells:
+        print("  ".join(f"{c[h]:<{widths[h]}}" for h in headers))
+    # the JSON and CSV carry fragility as a float
+    rows = [{h: float(v) if isinstance(v, Fraction) else v for h, v in row.items()}
+            for row in rows]
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump([v for _, v in rows], fh, indent=2)
+            json.dump(rows, fh, indent=2)
             fh.write("\n")
         _write_manifest(args.json, argv, args)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(",".join(headers) + "\n")
-            for _, values in rows:
-                fh.write(",".join(str(values[h]) for h in headers) + "\n")
+            for row in rows:
+                fh.write(",".join(str(row[h]) for h in headers) + "\n")
         _write_manifest(args.csv, argv, args)
     return 0
 
@@ -409,7 +408,7 @@ def _build_parser():
     p.add_argument("generator", nargs="?", help="generator JSON file")
     p.add_argument("--generators", metavar="A,B,...", help="comma-separated generator files, one per order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--max-order", type=int, default=8, help="safety cap on the order")
+    p.add_argument("--max-order", type=int, default=MAX_ORDER, help="safety cap on the order")
     p.add_argument("--name", help="name for the output array")
     p.add_argument("--out", metavar="PATH", help="write the array JSON here instead of stdout")
     p.set_defaults(func=_cmd_expand)
@@ -420,7 +419,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_cantor)
 
     p = subs.add_parser("baseline", help="standard comparison arrays")
-    p.add_argument("--kind", required=True, choices=("ula", "nested", "coprime", "mra", "mha"))
+    p.add_argument("--kind", required=True, choices=tuple(_BUILDERS))
     p.add_argument("--n", type=int)
     p.add_argument("--n1", type=int)
     p.add_argument("--n2", type=int)
@@ -458,8 +457,8 @@ def _build_parser():
     p.add_argument("--grid", required=True, help="sweep grid, start:stop:step or comma list")
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID, help="direction grid resolution")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("FRACARRAY_THREADS", "1")))
+    # default: $FRACARRAY_THREADS or 1, read when the command runs
+    p.add_argument("--threads", type=int)
     # coupling stays off in snr/failure sweeps unless a magnitude is given
     _add_coupling_flags(p, "random", default_mag=0.0)
     p.add_argument("--out", metavar="PATH", help="write sweep CSV here instead of stdout")

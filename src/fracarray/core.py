@@ -91,6 +91,8 @@ class CoarrayProfile:
         dof: number of distinct lags
         hole_free: True when the lags fill [-aperture, aperture] completely
         central_ula_halfwidth: largest m with all of [-m, m] present
+        ula_size: central ULA size M = 2m + 1, the copy spacing factor of
+            fractal expansion
     """
 
     def __init__(self, array):
@@ -105,7 +107,9 @@ class CoarrayProfile:
         self.dof = 2 * len(nonneg) - 1
         self.hole_free = bool(present.all())
         missing = np.nonzero(~present)[0]
-        self.central_ula_halfwidth = int(missing[0]) - 1 if missing.size else self.aperture
+        m = int(missing[0]) - 1 if missing.size else self.aperture
+        self.central_ula_halfwidth = m
+        self.ula_size = 2 * m + 1
 
     def weight(self, lag):
         """Ordered-pair count at one lag; zero outside the coarray."""
@@ -122,11 +126,6 @@ def difference_coarray(array):
     return CoarrayProfile(array)
 
 
-def central_ula(profile):
-    """Halfwidth m of the largest contiguous run [-m, m] inside the coarray."""
-    return profile.central_ula_halfwidth
-
-
 def reversed_array(array):
     """Reflection about the aperture midpoint, renormalized to start at 0."""
     a = array.aperture
@@ -136,10 +135,6 @@ def reversed_array(array):
 def is_symmetric(array):
     """True when the array equals its own reflection."""
     return reversed_array(array).elements == array.elements
-
-
-def aperture(array):
-    return array.aperture
 
 
 def parse_array(doc, source="array literal"):

@@ -46,18 +46,11 @@ class CouplingModel:
         return mags * np.exp(1j * phases)
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingMatrix:
-    """Dense coupling matrix for one array: unit diagonal, c_|gi-gj| within
-    the coupling limit, zero beyond. Symmetric by construction."""
-
-    entries: np.ndarray
-    source: object
-
-
 def coupling_matrix(array, model, rng=None):
-    """Build the coupling matrix for an array under a model. rng only
-    matters for random-phase models (phases are drawn once per call)."""
+    """Dense complex coupling matrix for an array under a model: unit
+    diagonal, c_|gi-gj| within the coupling limit, zero beyond, symmetric by
+    construction. rng only matters for random-phase models (phases are drawn
+    once per call)."""
     pos = array.as_array()
     c = model.coefficients(rng)
     sep = np.abs(pos[:, None] - pos[None, :])
@@ -65,13 +58,12 @@ def coupling_matrix(array, model, rng=None):
     np.fill_diagonal(C, 1.0)
     inband = (sep >= 1) & (sep <= model.q)
     C[inband] = c[sep[inband] - 1]
-    return CouplingMatrix(C, array)
+    return C
 
 
-def coupling_leakage(matrix):
-    """Fraction of the matrix's Frobenius energy sitting off the diagonal,
-    in [0, 1]."""
-    C = matrix.entries
+def coupling_leakage(C):
+    """Fraction of a coupling matrix's Frobenius energy sitting off the
+    diagonal, in [0, 1]."""
     off = C - np.diag(np.diag(C))
     return float(np.linalg.norm(off) / np.linalg.norm(C))
 
@@ -112,8 +104,7 @@ def verify_leakage_preservation(generator, model, r, tol=1e-12):
     isolated replicas of the generator and the leakage is identical.
     """
     prof = difference_coarray(generator)
-    ula_size = 2 * prof.central_ula_halfwidth + 1
-    hyp = model.q < generator.aperture and model.q + generator.aperture < ula_size
+    hyp = model.q < generator.aperture and model.q + generator.aperture < prof.ula_size
     lg = leakage_from_profile(prof, model)
     lr = leakage_from_profile(difference_coarray(expand(generator, r)), model)
     preserved = bool(abs(lr - lg) <= tol) if hyp else None

@@ -103,7 +103,7 @@ def synthesize(scenario, rng):
     surviving = SensorArray(tuple(int(e) for e in pos))
     C = None
     if scenario.coupling is not None:
-        C = coupling_matrix(surviving, scenario.coupling, rng).entries
+        C = coupling_matrix(surviving, scenario.coupling, rng)
     th = np.asarray(scenario.thetas)
     steer = np.exp(2j * np.pi * np.outer(pos, th))
     amp = np.sqrt(np.asarray(scenario.powers) / 2.0)

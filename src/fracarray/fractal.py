@@ -1,7 +1,5 @@
 """Fractal array construction by recursive translation of a generator."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import SensorArray, difference_coarray
@@ -10,87 +8,43 @@ from .core import SensorArray, difference_coarray
 MAX_ORDER = 8
 
 
-def cantor(r):
-    """Cantor array of order r.
+def expand(generators, r, max_order=MAX_ORDER):
+    """Order-r fractal expansion.
 
-    Starts from a single sensor and at every step appends a copy of the
-    current array shifted by 3^step: 2^r sensors spanning (3^r - 1) / 2.
+    generators is one SensorArray, reused at every order, or a sequence that
+    gives the generator of each order (r must then lie in 1..len). Order 0
+    is the single sensor {0}; each further order unions translated copies of
+    the current array, one copy per element n of that order's generator,
+    shifted by n times the product of the central-ULA sizes M of the
+    generators already applied. Overlapping replicas (possible only when a
+    generator coarray has holes) are deduplicated and the true element count
+    is whatever survives.
     """
-    if r < 0:
-        raise ValueError("order must be non-negative")
-    if r > MAX_ORDER:
-        raise ValueError(f"order {r} exceeds the safety cap {MAX_ORDER}")
-    elems = np.zeros(1, dtype=np.int64)
-    for i in range(r):
-        elems = np.concatenate([elems, elems + 3 ** i])
-    return SensorArray(tuple(int(e) for e in elems), name=f"cantor({r})")
-
-
-def expand(generator, r, max_order=MAX_ORDER):
-    """Order-r expansion of a generator array.
-
-    Order 0 is the single sensor {0}; each further order unions translated
-    copies of the current array, one copy per generator element n, shifted by
-    n * M^i where M is the generator's central-ULA size. Overlapping replicas
-    (possible only when the generator coarray has holes) are deduplicated and
-    the true element count is whatever survives.
-    """
-    if r < 0:
-        raise ValueError("order must be non-negative")
+    if isinstance(generators, SensorArray):
+        if r < 0:
+            raise ValueError("order must be non-negative")
+        gens = [generators] * r
+        name = f"{generators.name}^{r}" if generators.name else ""
+    else:
+        gens = list(generators)
+        if not gens:
+            raise ValueError("need at least one generator")
+        if not 1 <= r <= len(gens):
+            raise ValueError(f"order must lie in 1..{len(gens)}")
+        gens = gens[:r]
+        name = ""
     if r > max_order:
         raise ValueError(f"order {r} exceeds the safety cap {max_order}; "
                          f"pass max_order to override")
-    gen = generator.as_array()
-    M = 2 * difference_coarray(generator).central_ula_halfwidth + 1
     elems = np.zeros(1, dtype=np.int64)
-    for i in range(r):
-        elems = np.unique((elems[None, :] + gen[:, None] * M ** i).ravel())
-    name = f"{generator.name}^{r}" if generator.name else ""
+    factor = 1
+    for g in gens:
+        elems = np.unique((elems[None, :] + g.as_array()[:, None] * factor).ravel())
+        factor *= difference_coarray(g).ula_size
     return SensorArray(tuple(int(e) for e in elems), name=name)
 
 
-def expand_multi(generators, r):
-    """Expansion that applies a different generator at each order.
-
-    The copy spacing at order k is the product of the central-ULA sizes of
-    the generators already applied; with one generator repeated this reduces
-    exactly to expand().
-    """
-    gens = list(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    if r < 1 or r > len(gens):
-        raise ValueError(f"order must lie in 1..{len(gens)}")
-    elems = np.zeros(1, dtype=np.int64)
-    factor = 1
-    for g in gens[:r]:
-        elems = np.unique((elems[None, :] + g.as_array()[:, None] * factor).ravel())
-        factor *= 2 * difference_coarray(g).central_ula_halfwidth + 1
-    return SensorArray(tuple(int(e) for e in elems))
-
-
-@dataclass(frozen=True)
-class FractalSpec:
-    """Expansion recipe: a single generator reused, or one per order."""
-
-    generators: tuple
-    order: int
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        if not gens:
-            raise ValueError("need at least one generator")
-        for g in gens:
-            if not isinstance(g, SensorArray):
-                raise TypeError("generators must be SensorArray instances")
-        object.__setattr__(self, "generators", gens)
-        if len(gens) == 1:
-            if self.order < 0:
-                raise ValueError("order must be non-negative")
-        elif not 1 <= self.order <= len(gens):
-            raise ValueError(f"order must lie in 1..{len(gens)}")
-
-    def build(self, max_order=MAX_ORDER):
-        if len(self.generators) == 1:
-            return expand(self.generators[0], self.order, max_order=max_order)
-        return expand_multi(self.generators, self.order)
+def cantor(r):
+    """Cantor array of order r: the expansion of {0, 1}, whose central ULA
+    has M = 3, so 2^r sensors spanning (3^r - 1) / 2."""
+    return SensorArray(expand(SensorArray((0, 1)), r).elements, name=f"cantor({r})")

@@ -25,7 +25,6 @@ from fracarray import (
     economy,
     equally_spaced_thetas,
     expand,
-    expand_multi,
     fractal_weight,
     leakage_from_profile,
     nested,
@@ -124,14 +123,14 @@ def test_a05_leakage_preservation_and_block_structure(hole_free_pool):
             assert q < span and q + span < ula_size  # hypotheses by construction
             model = CouplingModel(q=q, c1_magnitude=0.3)
             lg = leakage_from_profile(prof, model)
-            Cg = coupling_matrix(gen, model).entries
+            Cg = coupling_matrix(gen, model)
             for r in (2, 3):
                 grown = expand(gen, r)
                 lr = leakage_from_profile(difference_coarray(grown), model)
                 worst = max(worst, abs(lr - lg))
                 assert abs(lr - lg) <= 1e-12, (elems, q, r)
                 pairs += 1
-                Cr = coupling_matrix(grown, model).entries
+                Cr = coupling_matrix(grown, model)
                 want = np.kron(np.eye(len(gen) ** (r - 1)), Cg)
                 assert np.array_equal(Cr, want), (elems, q, r)
                 matrices += 1
@@ -146,13 +145,13 @@ def test_a06_multi_generator_dof_products():
     dofs = {g.elements: len(oracle_differences(g.elements)) for g in pool}
     pair_count = triple_count = 0
     for combo in itertools.product(pool, repeat=2):
-        out = expand_multi(list(combo), 2)
+        out = expand(list(combo), 2)
         prof = difference_coarray(out)
         assert prof.hole_free
         assert prof.dof == dofs[combo[0].elements] * dofs[combo[1].elements]
         pair_count += 1
     for combo in itertools.product(pool, repeat=3):
-        out = expand_multi(list(combo), 3)
+        out = expand(list(combo), 3)
         prof = difference_coarray(out)
         want = 1
         for g in combo:

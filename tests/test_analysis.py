@@ -121,6 +121,19 @@ def test_beampattern_matches_direct_exponential_sum():
     assert np.allclose(bp.values, direct, rtol=1e-10, atol=1e-9)
 
 
+def test_beampattern_chunks_sum_each_row_like_a_lone_omega():
+    # aperture 14,280 fits 280 omega rows in one chunk of the cosine table,
+    # so 600 samples span three chunks; every row must come out bit-equal
+    # to a transform of that omega alone
+    arr = expand(SensorArray((0, 1, 4, 6)), 4)
+    om = np.linspace(-np.pi, np.pi, 600)
+    w = difference_coarray(arr).counts
+    lags = np.arange(1, w.size)
+    wf = w[1:].astype(float)
+    oracle = np.array([w[0] + 2.0 * (wf * np.cos(o * lags)).sum() for o in om])
+    assert np.array_equal(beampattern(arr, om).values, oracle)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_product_beampattern_matches_expanded_direct(seed):
     rng = np.random.default_rng(40 + seed)

@@ -9,7 +9,6 @@ from fracarray import (
     difference_coarray,
     economy,
     expand,
-    expand_multi,
     solve_p1,
 )
 from fracarray.cli import main
@@ -112,7 +111,7 @@ def test_expand_multi_generators(tmp_path):
     assert main(["expand", "--generators", f"{a},{b}", "--order", "2",
                  "--name", "combo", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    want = expand_multi([SensorArray((0, 1)), SensorArray((0, 1, 2))], 2)
+    want = expand([SensorArray((0, 1)), SensorArray((0, 1, 2))], 2)
     assert doc["elements"] == list(want.elements)
     assert doc["name"] == "combo"
 
@@ -239,6 +238,25 @@ def test_simulate_thread_env_default(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_bad_thread_env(monkeypatch, capsys):
+    # the variable is read only by simulate, and a bad value is an input error
+    monkeypatch.setenv("FRACARRAY_THREADS", "abc")
+    assert main(["cantor", "--order", "2"]) == 0
+    capsys.readouterr()
+    assert main(SIM_BASE) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "FRACARRAY_THREADS" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_rejects_thread_count_below_one(threads, monkeypatch, capsys):
+    assert main(SIM_BASE + ["--threads", threads]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    monkeypatch.setenv("FRACARRAY_THREADS", threads)
+    assert main(SIM_BASE) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_simulate_dump_trials(tmp_path, capsys):
     dump = tmp_path / "trials.jsonl"
     assert main(SIM_BASE + ["--out", str(tmp_path / "o.csv"),
@@ -308,3 +326,87 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["cantor", "--order", "2", "--frobnicate"])
     assert exc.value.code == 2
+
+
+# Golden outputs captured before analyze and compare shared one metric
+# table; they pin every byte of the text, CSV and JSON the commands write.
+
+GOLDEN_ANALYZE_S = "\n".join([
+    "name                S",
+    "elements            0 1 2 4 7 10 13 16 18 19 20",
+    "sensors             11",
+    "aperture            20",
+    "coarray size |D|    41",
+    "central ULA |U|     41",
+    "hole-free           True",
+    "symmetric           True",
+    "fragility           3/11 (0.2727)",
+    "maximally economic  False",
+    "C1 satisfied        False",
+]) + "\n"
+
+GOLDEN_ANALYZE_S_JSON = {
+    "name": "S",
+    "elements": list(S_ELEMS),
+    "sensors": 11,
+    "aperture": 20,
+    "dof": 41,
+    "ula_size": 41,
+    "hole_free": True,
+    "symmetric": True,
+    "fragility": {"numerator": 3, "denominator": 11, "value": 0.2727272727272727},
+    "maximally_economic": False,
+    "satisfies_C1": False,
+    "essential": [0, 10, 20],
+}
+
+ALL_METRICS = "n,aperture,dof,ula,hole_free,symmetric,fragility,economy,c1,leakage"
+
+GOLDEN_COMPARE = "\n".join([
+    "array    n   aperture  dof  ula  hole_free  symmetric  fragility      economy  c1     leakage",
+    "S        11  20        41   41   True       True       3/11 (0.2727)  False    False  0.3039 ",
+    "H4^2     16  84        169  169  True       False      1/1 (1.0000)   True     True   0.2529 ",
+    "ULA(5)   5   4         9    9    True       True       2/5 (0.4000)   False    False  0.3917 ",
+    "MRA(4)   4   6         13   13   True       False      1/1 (1.0000)   True     True   0.2508 ",
+    "CP(3,4)  9   20        35   29   False      False      2/3 (0.6667)   False    False  0.2584 ",
+]) + "\n"
+
+GOLDEN_COMPARE_CSV = "\n".join([
+    "array,n,aperture,dof,ula,hole_free,symmetric,fragility,economy,c1,leakage",
+    "S,11,20,41,41,True,True,0.2727272727272727,False,False,0.30394613259513803",
+    "H4^2,16,84,169,169,True,False,1.0,True,True,0.25287476606578907",
+    "ULA(5),5,4,9,9,True,True,0.4,False,False,0.39171310092866873",
+    "MRA(4),4,6,13,13,True,False,1.0,True,True,0.25078214049707026",
+    "CP(3,4),9,20,35,29,False,False,0.6666666666666666,False,False,0.2584202820168557",
+]) + "\n"
+
+GOLDEN_COMPARE_JSON = [
+    {"array": name, "n": n, "aperture": a, "dof": dof, "ula": u, "hole_free": hf,
+     "symmetric": sym, "fragility": frag, "economy": eco, "c1": c1, "leakage": leak}
+    for name, n, a, dof, u, hf, sym, frag, eco, c1, leak in [
+        ("S", 11, 20, 41, 41, True, True, 0.2727272727272727, False, False, 0.30394613259513803),
+        ("H4^2", 16, 84, 169, 169, True, False, 1.0, True, True, 0.25287476606578907),
+        ("ULA(5)", 5, 4, 9, 9, True, True, 0.4, False, False, 0.39171310092866873),
+        ("MRA(4)", 4, 6, 13, 13, True, False, 1.0, True, True, 0.25078214049707026),
+        ("CP(3,4)", 9, 20, 35, 29, False, False, 0.6666666666666666, False, False, 0.2584202820168557),
+    ]
+]
+
+
+def test_analyze_golden_output(tmp_path, capsys):
+    src = _write(tmp_path / "s.json", S_ELEMS, name="S")
+    report = tmp_path / "report.json"
+    assert main(["analyze", src, "--json", str(report)]) == 0
+    assert capsys.readouterr().out == GOLDEN_ANALYZE_S
+    assert report.read_text() == json.dumps(GOLDEN_ANALYZE_S_JSON, indent=2) + "\n"
+
+
+def test_compare_golden_output(tmp_path, capsys):
+    s = _write(tmp_path / "s.json", S_ELEMS, name="S")
+    h = _write(tmp_path / "h.json", expand(SensorArray((0, 1, 4, 6)), 2).elements, name="H4^2")
+    csv, js = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(["compare", "--arrays", f"{s},{h}", "--baselines", "ula:5;mra:4;coprime:3,4",
+                 "--metrics", ALL_METRICS, "--csv", str(csv), "--json", str(js)]) == 0
+    assert capsys.readouterr().out == GOLDEN_COMPARE
+    assert csv.read_text() == GOLDEN_COMPARE_CSV
+    assert js.read_text() == json.dumps(GOLDEN_COMPARE_JSON, indent=2) + "\n"

@@ -6,7 +6,6 @@ import pytest
 from fracarray import (
     ArrayFormatError,
     SensorArray,
-    central_ula,
     difference_coarray,
     dump_array,
     is_symmetric,
@@ -82,8 +81,8 @@ def test_profile_invariants(seed):
 
 
 def test_central_ula_halfwidth():
-    assert central_ula(difference_coarray(SensorArray((0, 1, 4, 6)))) == 6
-    assert central_ula(difference_coarray(SensorArray((0, 1, 5)))) == 1
+    assert difference_coarray(SensorArray((0, 1, 4, 6))).central_ula_halfwidth == 6
+    assert difference_coarray(SensorArray((0, 1, 5))).central_ula_halfwidth == 1
 
 
 def test_single_sensor_profile():

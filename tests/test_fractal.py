@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from fracarray import (
-    FractalSpec,
     SensorArray,
     cantor,
     difference_coarray,
     expand,
-    expand_multi,
     is_symmetric,
 )
 from conftest import oracle_expand, oracle_hole_free, random_elements
@@ -133,14 +131,14 @@ def test_expand_names():
 
 def test_multi_generator_example():
     arrs = [SensorArray((0, 1)), SensorArray((0, 1, 2))]
-    out = expand_multi(arrs, 2)
+    out = expand(arrs, 2)
     assert out.elements == (0, 1, 3, 4, 6, 7)
     assert difference_coarray(out).dof == 15
 
 
 def test_multi_generator_order_matters_but_dof_does_not():
-    a = expand_multi([SensorArray((0, 1)), SensorArray((0, 1, 2))], 2)
-    b = expand_multi([SensorArray((0, 1, 2)), SensorArray((0, 1))], 2)
+    a = expand([SensorArray((0, 1)), SensorArray((0, 1, 2))], 2)
+    b = expand([SensorArray((0, 1, 2)), SensorArray((0, 1))], 2)
     assert a.elements != b.elements
     assert difference_coarray(a).dof == difference_coarray(b).dof == 15
 
@@ -148,38 +146,35 @@ def test_multi_generator_order_matters_but_dof_does_not():
 def test_multi_generator_with_equal_parts_matches_expand():
     gen = SensorArray((0, 1, 3))
     for r in (1, 2, 3):
-        same = expand_multi([gen] * 3, r)
+        same = expand([gen] * 3, r)
         assert same.elements == expand(gen, r).elements
 
 
 def test_multi_generator_order_bounds():
     gens = [SensorArray((0, 1)), SensorArray((0, 1))]
     with pytest.raises(ValueError):
-        expand_multi(gens, 0)
+        expand(gens, 0)
     with pytest.raises(ValueError):
-        expand_multi(gens, 3)
+        expand(gens, 3)
     with pytest.raises(ValueError):
-        expand_multi([], 1)
+        expand([], 1)
 
 
-def test_fractal_spec_build():
-    spec = FractalSpec(generators=(SensorArray((0, 1, 2)),), order=2)
-    built = spec.build()
+def test_expand_repeated_sequence_matches_reuse():
+    built = expand([SensorArray((0, 1, 2))] * 2, 2)
     assert built.elements == expand(SensorArray((0, 1, 2)), 2).elements
 
 
-def test_fractal_spec_multi_build():
-    spec = FractalSpec(
-        generators=(SensorArray((0, 1)), SensorArray((0, 1, 2))), order=2
-    )
-    assert spec.build().elements == (0, 1, 3, 4, 6, 7)
+def test_expand_tuple_of_generators():
+    built = expand((SensorArray((0, 1)), SensorArray((0, 1, 2))), 2)
+    assert built.elements == (0, 1, 3, 4, 6, 7)
 
 
-def test_fractal_spec_validation():
+def test_expand_generator_validation():
     with pytest.raises(ValueError):
-        FractalSpec(generators=(), order=1)
+        expand((), 1)
     with pytest.raises(ValueError):
-        FractalSpec(generators=(SensorArray((0, 1)),), order=-1)
+        expand(SensorArray((0, 1)), -1)
 
 
 @pytest.mark.parametrize("seed", range(6))
