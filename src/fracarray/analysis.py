@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SensorArray, difference_coarray
+from .core import CoarrayProfile, SensorArray, difference_coarray, pair_blocks
 
 
 def weight_expand(w, ell):
@@ -24,11 +24,6 @@ def weight_expand(w, ell):
     return out
 
 
-def _full(w):
-    # symmetric extension from lags 0..A to -A..A
-    return np.concatenate([w[:0:-1], w])
-
-
 def fractal_weight(generator, r):
     """Predicted weight map of the order-r expansion of a generator, without
     building the expanded array: the convolution of stretched copies of the
@@ -39,14 +34,27 @@ def fractal_weight(generator, r):
     expansion keeps all len(generator)**r translated sensors distinct, which
     holds in particular for generators with hole-free coarrays; colliding
     translates lose sensors and the closed form overcounts.
+
+    Each order is a sparse shift-and-add over the generator's nonzero lags
+    (at most 2 * aperture + 1 of them), so the cost is that of the output.
     """
     if r < 0:
         raise ValueError("order must be non-negative")
     prof = difference_coarray(generator)
     M = prof.ula_size
+    A = prof.aperture
+    full = np.concatenate([prof.counts[:0:-1], prof.counts])
+    taps = [(k, int(full[k])) for k in np.nonzero(full)[0]]
     out = np.ones(1, dtype=np.int64)
     for i in range(r):
-        out = np.convolve(out, _full(weight_expand(prof.counts, M ** i)))
+        # out convolved with the full map stretched by M**i: the tap at
+        # full-map index k adds w * out shifted by k * M**i
+        stride = M ** i
+        grown = np.zeros(out.size + 2 * A * stride, dtype=np.int64)
+        for k, w in taps:
+            start = k * stride
+            grown[start:start + out.size] += out if w == 1 else w * out
+        out = grown
     return out[out.size // 2:]
 
 
@@ -116,25 +124,27 @@ class EconomyReport:
     satisfies_C1: bool
 
 
-def _essential_mask(elems, counts):
-    # a sensor g is essential iff some lag d > 0 would lose all its pairs:
-    # the pair count at d equals the number of pairs g itself forms at d,
-    # which is [g - d present] + [g + d present], at most 2
-    A = int(elems[-1])
-    member = np.zeros(A + 1, dtype=bool)
-    member[elems] = True
-    d = np.arange(1, A + 1)
-    w = counts[1:]
-    out = np.zeros(elems.size, dtype=bool)
-    step = max(1, 4_000_000 // (A + 1))
-    for i in range(0, elems.size, step):
-        g = elems[i:i + step, None]
-        lo = g - d[None, :]
-        hi = g + d[None, :]
-        with_g = ((lo >= 0) & member[np.clip(lo, 0, A)]).astype(np.int8)
-        with_g += (hi <= A) & member[np.clip(hi, 0, A)]
-        out[i:i + step] = ((with_g > 0) & (with_g == w[None, :])).any(axis=1)
-    return out
+def _pair_pass(elems, counts):
+    # Removing sensor g empties lag d exactly when the count at d equals the
+    # pairs g forms there, and it forms at most two. So g is essential iff
+    # it ends a pair at a weight-1 lag (ends; C1 asks this of every sensor)
+    # or is the middle of g - d, g, g + d at a weight-2 lag (middle). One
+    # pass over the pairs j > i finds both; a triple is seen from (g - d, g).
+    n = elems.size
+    ends = np.zeros(n, dtype=bool)
+    middle = np.zeros(n, dtype=bool)
+    for i, d in pair_blocks(elems):
+        np.maximum(d, 0, out=d)  # no-pair entries become lag 0 and fail d > 0
+        r, c = np.nonzero((d > 0) & (counts[d] <= 2))
+        lag = d[r, c]
+        one = counts[lag] == 1
+        ends[i + r[one]] = True
+        ends[i + 1 + c[one]] = True
+        g = i + 1 + c[~one]
+        far = elems[g] + lag[~one]
+        at = np.minimum(np.searchsorted(elems, far), n - 1)
+        middle[g[elems[at] == far]] = True
+    return ends | middle, bool(ends.all())
 
 
 def _removal_changes_coarray(elems, i, profile):
@@ -143,31 +153,42 @@ def _removal_changes_coarray(elems, i, profile):
     return set(sub.differences) != set(profile.differences)
 
 
-def _satisfies_c1(elems, counts):
-    diffs = np.abs(elems[:, None] - elems[None, :])
-    return bool((counts[diffs] == 1).any(axis=1).all())
+def _satisfies_c1(elems, profile):
+    # the definition: every sensor g has some h with weight(g - h) == 1
+    return all(any(profile.weight(g - h) == 1 for h in elems if h != g) for g in elems)
 
 
 def economy(array, direct=False):
     """Partition sensors into essential and inessential, with the essential
     fraction as an exact rational.
 
+    array is a SensorArray, or its CoarrayProfile when the coarray is
+    already built; the profile is then reused instead of recomputed.
+
     direct=True recomputes the coarray once per removed sensor, straight
-    from the definition. The default uses an equivalent incremental update
-    of the pair counts (a sensor is essential iff it carries every pair at
-    some lag); the test suite holds the two routes equal.
+    from the definition, and tests C1 sensor by sensor. The default reads
+    both from one chunked pass over the sensor pairs, O(N^2) like the
+    coarray itself: a sensor is essential iff it ends a pair at a weight-1
+    lag or sits between the two pairs of a weight-2 lag. The test suite
+    holds the two routes equal.
 
     A single-sensor array counts as essential by convention, fragility 1.
     """
+    if isinstance(array, CoarrayProfile):
+        profile, array = array, array.array
+    else:
+        profile = None
     elems = array.as_array()
     n = elems.size
     if n == 1:
         return EconomyReport(tuple(array.elements), (), Fraction(1), True, True)
-    profile = difference_coarray(array)
+    if profile is None:
+        profile = difference_coarray(array)
     if direct:
         mask = np.array([_removal_changes_coarray(elems, i, profile) for i in range(n)])
+        c1 = _satisfies_c1(array.elements, profile)
     else:
-        mask = _essential_mask(elems, profile.counts)
+        mask, c1 = _pair_pass(elems, profile.counts)
     essential = tuple(int(e) for e in elems[mask])
     inessential = tuple(int(e) for e in elems[~mask])
     return EconomyReport(
@@ -175,5 +196,5 @@ def economy(array, direct=False):
         inessential,
         Fraction(int(mask.sum()), n),
         not inessential,
-        _satisfies_c1(elems, profile.counts),
+        c1,
     )

@@ -161,7 +161,7 @@ def _measure(array, model=None):
     """Every metric of one array keyed by compare key, plus the essential
     sensors; leakage needs a coupling model."""
     prof = difference_coarray(array)
-    rep = economy(array)
+    rep = economy(prof)
     return {
         "n": len(array),
         "aperture": array.aperture,
@@ -188,6 +188,8 @@ def _cell(value):
 # subcommand handlers
 
 def _cmd_analyze(args, argv):
+    if args.samples < 1:
+        raise ArrayFormatError(f"beampattern sample count must be at least 1, got {args.samples}")
     array = load_array(args.array)
     values = _measure(array)
     rows = [("name", array.name or "(unnamed)"),

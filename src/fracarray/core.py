@@ -7,6 +7,7 @@ units only matter at display time.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,17 +66,37 @@ class SensorArray:
         return f"SensorArray({list(self.elements)}{label})"
 
 
-def _pair_counts(pos):
-    # counts[d] = number of ordered pairs with difference d >= 0; chunked so
-    # the temporary difference table stays bounded for large arrays
+# element budget of one temporary in the chunked pair passes
+PAIR_BUDGET = 4_000_000
+
+
+def pair_blocks(pos):
+    """Walk the pairs j > i of sorted positions in bounded row blocks.
+
+    Yields (i, d) with d[r, c] = pos[i + 1 + c] - pos[i + r], a new array
+    the caller may overwrite: rows i.. of the pair table against every later
+    column. Every pair j > i has d > 0
+    and lies in exactly one block; the entries with c < r are no pairs and
+    have d <= 0. A block holds at most PAIR_BUDGET entries (at least one
+    row) and at most half as many rows as columns, so at most a quarter of
+    it is no pairs.
+    """
     n = pos.size
+    i = 0
+    while i < n - 1:
+        cols = n - 1 - i
+        rows = max(1, min(PAIR_BUDGET // cols, cols // 2))
+        yield i, pos[i + 1:] - pos[i:i + rows, None]
+        i += rows
+
+
+def _pair_counts(pos):
+    # counts[d] = number of ordered pairs with difference d >= 0
     A = int(pos[-1])
     counts = np.zeros(A + 1, dtype=np.int64)
-    counts[0] = n
-    step = max(1, 8_000_000 // max(n, 1))
-    for i in range(0, n, step):
-        d = (pos[i:i + step, None] - pos[None, :]).ravel()
-        counts += np.bincount(d[d > 0], minlength=A + 1).astype(np.int64)
+    counts[0] = pos.size
+    for _, d in pair_blocks(pos):
+        counts += np.bincount(d[d > 0], minlength=A + 1)
     return counts
 
 
@@ -87,7 +108,8 @@ class CoarrayProfile:
         aperture: largest possible lag (the array aperture)
         counts: read-only int64 vector, counts[d] = ordered pairs at lag d
             for d in 0..aperture; negative lags mirror by symmetry
-        differences: sorted tuple of every lag with a nonzero count
+        differences: sorted tuple of every lag with a nonzero count, built
+            on first access (a python tuple costs far more than counts)
         dof: number of distinct lags
         hole_free: True when the lags fill [-aperture, aperture] completely
         central_ula_halfwidth: largest m with all of [-m, m] present
@@ -102,14 +124,17 @@ class CoarrayProfile:
         self.counts = _pair_counts(pos)
         self.counts.setflags(write=False)
         present = self.counts > 0
-        nonneg = np.nonzero(present)[0]
-        self.differences = tuple(int(d) for d in np.concatenate([-nonneg[:0:-1], nonneg]))
-        self.dof = 2 * len(nonneg) - 1
+        self.dof = 2 * int(np.count_nonzero(present)) - 1
         self.hole_free = bool(present.all())
         missing = np.nonzero(~present)[0]
         m = int(missing[0]) - 1 if missing.size else self.aperture
         self.central_ula_halfwidth = m
         self.ula_size = 2 * m + 1
+
+    @cached_property
+    def differences(self):
+        nonneg = np.nonzero(self.counts)[0]
+        return tuple(int(d) for d in np.concatenate([-nonneg[:0:-1], nonneg]))
 
     def weight(self, lag):
         """Ordered-pair count at one lag; zero outside the coarray."""

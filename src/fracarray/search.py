@@ -87,7 +87,7 @@ def check_constraints(array, constraints):
         ap_ok = ap <= constraints.max_aperture
     sym = is_symmetric(array)
     hf = prof.hole_free
-    frag = economy(array).fragility
+    frag = economy(prof).fragility
     leak = leakage_from_profile(prof, constraints.coupling)
     return FeasibilityReport(
         array=array, aperture=ap, aperture_ok=ap_ok,

@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fracarray import weight_expand
+
 # reference designs used across the suite
 S_ELEMS = (0, 1, 2, 4, 7, 10, 13, 16, 18, 19, 20)
 G_ELEMS = (0, 1, 3, 5, 11, 13, 17, 18, 19, 20)
@@ -50,6 +52,27 @@ def oracle_essential(elems):
         rest = [e for e in elems if e != g]
         flags.append(not rest or oracle_differences(rest) != full)
     return flags
+
+
+def oracle_c1(elems):
+    """C1 straight from the definition: every sensor ends some pair whose lag
+    occurs once among the positive lags."""
+    w = oracle_weight_map(elems)
+    return all(any(w[g - h] == 1 for h in elems if h != g) for g in elems)
+
+
+def oracle_fractal_weight(gen_elems, r):
+    """The weight convolution in its dense closed form: np.convolve over the
+    generator's full weight map stretched by 1, M, M^2, ... (M the central
+    ULA size). Exact int64; returns the non-negative half."""
+    w = oracle_weight_map(gen_elems)
+    span = max(gen_elems) - min(gen_elems)
+    full = np.array([w.get(d, 0) for d in range(-span, span + 1)], dtype=np.int64)
+    m = 2 * oracle_central_halfwidth(gen_elems) + 1
+    out = np.ones(1, dtype=np.int64)
+    for i in range(r):
+        out = np.convolve(out, weight_expand(full, m ** i))
+    return out[out.size // 2:]
 
 
 def oracle_fragility(elems):

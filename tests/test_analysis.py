@@ -3,14 +3,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fracarray.core
 from fracarray import (
     SensorArray,
     beampattern,
     cantor,
+    coprime,
     difference_coarray,
     economy,
     expand,
     fractal_weight,
+    nested,
     product_beampattern,
     ula,
     weight_expand,
@@ -18,10 +21,13 @@ from fracarray import (
 from conftest import (
     S_ELEMS,
     G_ELEMS,
+    oracle_c1,
     oracle_collision_free,
     oracle_essential,
+    oracle_fractal_weight,
     oracle_fragility,
     oracle_hole_free,
+    oracle_weight_map,
     random_elements,
 )
 
@@ -85,6 +91,25 @@ def test_fractal_weight_scope_boundary():
     w = fractal_weight(gen, 2)
     assert int(w[0]) == 11  # predicts more sensor pairs than survive
     assert int(difference_coarray(grown).counts[0]) == len(grown)
+
+
+# random generators, then ones whose order-2 translates collide (so the
+# closed form overcounts): the sparse route must match the dense one on both
+RANDOM_GENERATORS = [random_elements(np.random.default_rng(500 + s), 6) for s in range(12)]
+COLLIDING = [(0, 3, 4), (0, 2, 5), (0, 1, 5, 7), (0, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("elems", RANDOM_GENERATORS + COLLIDING)
+def test_fractal_weight_equals_dense_convolution(elems):
+    for r in range(5):
+        w = fractal_weight(SensorArray(elems), r)
+        dense = oracle_fractal_weight(elems, r)
+        assert w.dtype == dense.dtype == np.int64
+        assert np.array_equal(w, dense)
+
+
+def test_colliding_generators_collide():
+    assert not any(oracle_collision_free(e, 2) for e in COLLIDING)
 
 
 def test_fractal_weight_total_mass():
@@ -192,6 +217,24 @@ def test_expanded_reference_fragility():
     assert g2.fragility == Fraction(9, 100)
 
 
+def _middle_only(elems):
+    # essential sensors that end no weight-1 pair: only the middle of a
+    # g - d, g, g + d triple at a weight-2 lag makes them essential
+    w = oracle_weight_map(elems)
+    ends = {g for g in elems for h in elems if h != g and w[g - h] == 1}
+    return [g for g, f in zip(elems, oracle_essential(elems)) if f and g not in ends]
+
+
+def _assert_pair_route_matches_oracles(elems):
+    arr = SensorArray(elems)
+    rep = economy(arr)
+    direct = economy(arr, direct=True)
+    assert rep == direct
+    flags = oracle_essential(elems)
+    assert rep.essential == tuple(e for e, f in zip(elems, flags) if f)
+    assert rep.satisfies_C1 == oracle_c1(elems)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_fast_essentialness_equals_removal_definition(seed):
     rng = np.random.default_rng(seed)
@@ -207,11 +250,86 @@ def test_fast_essentialness_equals_removal_definition(seed):
 
 
 def test_fast_essentialness_on_pool(small_pool):
+    middles = 0
     for elems in small_pool:
         arr = SensorArray(elems)
         rep = economy(arr)
         assert rep.fragility == oracle_fragility(elems)
         assert rep.essential == economy(arr, direct=True).essential
+        if len(elems) > 1:
+            _assert_pair_route_matches_oracles(elems)
+            middles += bool(_middle_only(elems))
+    assert middles > 0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pair_route_on_random_arrays_with_inessential_sensors(seed):
+    # sparse draws (12-16 sensors over apertures 30-60) so that some
+    # sensors are inessential and some are essential only as a middle
+    rng = np.random.default_rng(700 + seed)
+    while True:
+        span = int(rng.integers(30, 61))
+        inner = rng.choice(np.arange(1, span), int(rng.integers(10, 15)), replace=False)
+        elems = tuple(sorted({0, span, *map(int, inner)}))
+        if not all(oracle_essential(elems)) and _middle_only(elems):
+            break
+    _assert_pair_route_matches_oracles(elems)
+
+
+@pytest.mark.parametrize("arr", (
+    expand(SensorArray(S_ELEMS), 2),
+    coprime(3, 4),
+    nested(4, 4),
+), ids=("S^2", "coprime(3,4)", "nested(4,4)"))
+def test_pair_route_on_reference_arrays(arr):
+    _assert_pair_route_matches_oracles(arr.elements)
+
+
+def test_pair_route_across_chunk_boundaries(monkeypatch):
+    # a tiny budget splits even small arrays into many pair blocks
+    monkeypatch.setattr(fracarray.core, "PAIR_BUDGET", 7)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        elems = random_elements(rng, 40, min_aperture=10)
+        arr = SensorArray(elems)
+        pos = arr.as_array()
+        blocks = list(fracarray.core.pair_blocks(pos))
+        assert len(blocks) > 1
+        pairs = sorted((i + r, i + 1 + c) for i, d in blocks for r, c in zip(*np.nonzero(d > 0)))
+        n = len(elems)
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert all(d.size <= 7 or d.shape[0] == 1 for _, d in blocks)
+        w = oracle_weight_map(elems)
+        assert difference_coarray(arr).counts.tolist() == [
+            w.get(lag, 0) for lag in range(arr.aperture + 1)]
+        _assert_pair_route_matches_oracles(elems)
+
+
+@pytest.mark.parametrize("arr", (
+    SensorArray((0,)),
+    SensorArray((0, 1, 4, 6)),
+    ula(7),
+    coprime(3, 4),
+    expand(SensorArray(G_ELEMS), 2),
+))
+def test_economy_of_profile_equals_economy_of_array(arr):
+    assert economy(difference_coarray(arr)) == economy(arr)
+    assert economy(difference_coarray(arr), direct=True) == economy(arr, direct=True)
+
+
+def test_laws_one_order_higher():
+    # (0,1,4,6)^6: N = 4096, aperture 2,413,404; the pair pass spans
+    # several blocks at this size
+    gen = SensorArray((0, 1, 4, 6))
+    big = expand(gen, 6)
+    prof = difference_coarray(big)
+    assert len(list(fracarray.core.pair_blocks(big.as_array()))) > 1
+    assert prof.hole_free and prof.dof == 13 ** 6
+    w = fractal_weight(gen, 6)
+    assert w.dtype == prof.counts.dtype and np.array_equal(w, prof.counts)
+    rep = economy(prof)
+    assert rep.fragility <= economy(gen).fragility
+    assert rep.satisfies_C1
 
 
 def test_weight_one_condition_implies_maximal_economy(small_pool):

@@ -83,6 +83,17 @@ def test_analyze_beampattern_csv(tmp_path):
     assert float(value_mid) == pytest.approx(1.0)  # normalized DC
 
 
+@pytest.mark.parametrize("samples", ("0", "-1"))
+def test_analyze_rejects_sample_count_below_one(samples, tmp_path, capsys):
+    src = _write(tmp_path / "a.json", (0, 1, 4, 6))
+    csv = tmp_path / "bp.csv"
+    report = tmp_path / "r.json"
+    assert main(["analyze", src, "--json", str(report), "--beampattern", str(csv),
+                 "--samples", samples]) == 2
+    assert "error: beampattern sample count must be at least 1" in capsys.readouterr().err
+    assert not csv.exists() and not report.exists()
+
+
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/arr.json"]) == 2
     assert "error:" in capsys.readouterr().err
