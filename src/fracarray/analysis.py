@@ -85,10 +85,14 @@ def _weight_dtft(w, om):
 
 def beampattern(array, omegas):
     """Beampattern sum_m w(m) exp(-j w m) at the given angular frequencies
-    (radians per unit spacing)."""
-    prof = difference_coarray(array)
+    (radians per unit spacing).
+
+    array is a SensorArray, or its CoarrayProfile when the coarray is
+    already built; the profile is then reused instead of recomputed.
+    """
+    prof = array if isinstance(array, CoarrayProfile) else difference_coarray(array)
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    return Beampattern(om, _weight_dtft(prof.counts, om), source=array.name)
+    return Beampattern(om, _weight_dtft(prof.counts, om), source=prof.array.name)
 
 
 def product_beampattern(generator, r, omegas):

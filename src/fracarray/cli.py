@@ -159,7 +159,7 @@ _COMPARE_METRICS = tuple(row[0] for row in _METRICS)
 
 def _measure(array, model=None):
     """Every metric of one array keyed by compare key, plus the essential
-    sensors; leakage needs a coupling model."""
+    sensors and the coarray profile; leakage needs a coupling model."""
     prof = difference_coarray(array)
     rep = economy(prof)
     return {
@@ -174,6 +174,7 @@ def _measure(array, model=None):
         "c1": rep.satisfies_C1,
         "leakage": None if model is None else leakage_from_profile(prof, model),
         "essential": list(rep.essential),
+        "profile": prof,
     }
 
 
@@ -211,7 +212,7 @@ def _cmd_analyze(args, argv):
         _write_manifest(args.json, argv, args)
     if args.beampattern:
         om = np.linspace(-math.pi, math.pi, args.samples)
-        bp = beampattern(array, om)
+        bp = beampattern(values["profile"], om)
         vals = bp.values / len(array) ** 2 if args.normalize else bp.values
         with open(args.beampattern, "w") as fh:
             fh.write("omega,value\n")

@@ -2,23 +2,31 @@
 fragility, coupling-leakage and aperture constraints.
 
 The solver enumerates candidate element sets by ascending cardinality, so
-the first feasible cardinality is the optimum. Candidates are bitmasks over
-{0..max_aperture}; feasibility checks run cheapest-first. A deliberately
-naive route (build every subset containing 0 and evaluate it through the
-definitional metric code) exists for oracle-equivalence testing.
+the first feasible cardinality is the optimum. Candidates are uint64
+bitmasks over {0..max_aperture}, so apertures stop at MAX_SPAN = 63. One
+numpy kernel builds them block by block (at most BLOCK masks each, from a
+table of low-bit masks grouped by popcount) and tests each block with one
+AND-shift per lag: hole-free first, then leakage, then the essential-sensor
+count behind fragility, all exact. A deliberately naive route (build every
+subset containing 0 and evaluate it through the definitional metric code)
+exists for oracle-equivalence testing.
 """
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .analysis import economy
 from .core import SensorArray, difference_coarray, is_symmetric
 from .coupling import CouplingModel, leakage_from_profile
 
-APERTURE_GUARD = 24
+# unconstrained A=28 takes about 2 s on a 2-core VM, A=29 about 6-8 s
+APERTURE_GUARD = 28
 
 
 @dataclass(frozen=True)
@@ -102,8 +110,9 @@ def check_constraints(array, constraints):
 class SearchResult:
     """All minimum-cardinality feasible arrays, in lexicographic order.
 
-    explored counts candidates evaluated individually; pruned counts
-    candidates ruled out in bulk by sound bounds without being built.
+    explored counts candidates built and tested by the block kernel (or,
+    on the naive route, one by one); pruned counts candidates ruled out in
+    bulk by sound bounds without being built.
     """
 
     optimum: tuple
@@ -114,83 +123,105 @@ class SearchResult:
     message: str = ""
 
 
-# bitmask helpers: bit e of a mask marks a sensor at position e
-
-def _mask_hole_free(mask, span, elems):
-    target = (1 << (span + 1)) - 1
-    acc = 0
-    for e in elems:
-        acc |= mask >> e
-        if acc == target:
-            return True
-    return False
+# A candidate is a uint64 bitmask: bit e marks a sensor at position e, so a
+# span of at most MAX_SPAN fits. The kernel evaluates candidates in blocks
+# of at most BLOCK masks; the popcount table covers the low _LOW_BITS bits.
+MAX_SPAN = 63
+BLOCK = 1 << 13
+_LOW_BITS = 13
 
 
-def _mask_weights(mask, span):
-    # w[d - 1] = pair count at lag d
-    return [(mask & (mask >> d)).bit_count() for d in range(1, span + 1)]
+@functools.cache
+def _popcount_groups():
+    # every _LOW_BITS-bit mask, ascending, grouped by popcount; built on
+    # first use
+    masks = np.arange(1 << _LOW_BITS, dtype=np.uint64)
+    counts = np.bitwise_count(masks)
+    return tuple(masks[counts == c] for c in range(_LOW_BITS + 1))
 
 
-def _mask_fragility(elems, w, mask):
-    n = len(elems)
-    if n == 1:
-        return Fraction(1)
-    span = len(w)
-    essential = 0
-    for g in elems:
-        for d in range(1, span + 1):
-            wd = w[d - 1]
-            if wd == 0 or wd > 2:
-                continue
-            cnt = ((mask >> (g - d)) & 1 if g >= d else 0) + ((mask >> (g + d)) & 1)
-            if cnt and cnt == wd:
-                essential += 1
-                break
-    return Fraction(essential, n)
+def _combinations(nbits, c, limit):
+    """Yield every nbits-bit mask with popcount c, in blocks of at most
+    limit masks: high-bit prefixes joined to the low-bit table group with
+    the remaining popcount."""
+    if not 0 <= c <= nbits:
+        return
+    groups = _popcount_groups()
+    if nbits <= _LOW_BITS:
+        group = groups[c]
+        group = group[:np.searchsorted(group, 1 << nbits)]
+        for s in range(0, group.size, limit):
+            yield group[s:s + limit]
+        return
+    for h in range(max(0, c - _LOW_BITS), min(nbits - _LOW_BITS, c) + 1):
+        low = groups[c - h]
+        for high in _combinations(nbits - _LOW_BITS, h, max(1, limit // low.size)):
+            joined = ((high[:, None] << _LOW_BITS) | low).ravel()
+            for s in range(0, joined.size, limit):
+                yield joined[s:s + limit]
 
 
-def _mask_leakage(w, n, coupling_sq):
-    off = 0.0
-    for d in range(1, min(len(coupling_sq), len(w)) + 1):
-        if w[d - 1]:
-            off += 2.0 * w[d - 1] * coupling_sq[d - 1]
-    return math.sqrt(off / (n + off)) if off else 0.0
-
-
-def _candidates(span, k, symmetric):
-    """Yield (elements, mask) for every size-k candidate spanning exactly
-    span, lexicographically; symmetric mode yields mirror-closed sets only."""
+def _candidate_blocks(span, k, symmetric):
+    """Yield the masks of every size-k candidate spanning exactly span, in
+    blocks; symmetric mode builds mirror-closed masks from half-masks."""
     if span == 0:
         if k == 1:
-            yield (0,), 1
+            yield np.ones(1, dtype=np.uint64)
         return
     if k < 2:
         return
-    base = 1 | (1 << span)
+    ends = np.uint64(1 | 1 << span)
     if not symmetric:
-        for mid in itertools.combinations(range(1, span), k - 2):
-            mask = base
-            for e in mid:
-                mask |= 1 << e
-            yield (0,) + mid + (span,), mask
+        for inner in _combinations(span - 1, k - 2, BLOCK):
+            yield ends | (inner << 1)
         return
-    half = range(1, (span + 1) // 2)
-    center = span // 2 if span % 2 == 0 else None
-    for take_center in (0, 1) if center else (0,):
-        rem = k - 2 - take_center
+    pairs = (span + 1) // 2 - 1
+    for center in (0, 1 << span // 2) if span % 2 == 0 else (0,):
+        rem = k - 2 - (center > 0)
         if rem < 0 or rem % 2:
             continue
-        for picks in itertools.combinations(half, rem // 2):
-            elems = {0, span}
-            mask = base
-            for i in picks:
-                elems.add(i)
-                elems.add(span - i)
-                mask |= (1 << i) | (1 << (span - i))
-            if take_center:
-                elems.add(center)
-                mask |= 1 << center
-            yield tuple(sorted(elems)), mask
+        for half in _combinations(pairs, rem // 2, BLOCK):
+            masks = ends | center | (half << 1)
+            for j in range(pairs):
+                # bit j of half is the sensor at j + 1, mirrored to span - 1 - j
+                masks |= ((half >> j) & 1) << (span - 1 - j)
+            yield masks
+
+
+def _leakage(masks, span, k, coupling_sq):
+    # one add per lag in ascending order: the float sum of a scalar loop
+    # over the lags, so accept/reject decisions do not depend on blocking
+    off = np.zeros(masks.size)
+    for d in range(1, min(span, len(coupling_sq)) + 1):
+        off += 2.0 * np.bitwise_count(masks & (masks >> d)) * coupling_sq[d - 1]
+    return np.sqrt(off / (k + off))
+
+
+def _essential_counts(masks, span, k):
+    """Essential sensors of each size-k candidate: the ends of the pair at
+    a weight-1 lag and the middle of g - d, g, g + d at a weight-2 lag, the
+    rule analysis.economy reads from its pair pass. A single sensor counts
+    as essential."""
+    ess = masks.copy() if k == 1 else np.zeros_like(masks)
+    for d in range(1, span + 1):
+        pairs = masks & (masks >> d)  # bit i: sensors at i and i + d
+        w = np.bitwise_count(pairs)
+        ess |= np.where(w == 1, pairs | (pairs << d), 0)
+        ess |= np.where(w == 2, (pairs & (pairs >> d)) << d, 0)
+    return np.bitwise_count(ess)
+
+
+def _feasible(masks, span, k, cons, coupling_sq):
+    """The masks of one block that pass every rule, cheapest rule first."""
+    if cons.require_hole_free:
+        # every lag has a pair; the longest (rarest) lags go first so the
+        # block shrinks early, and lag span is the pair (0, span)
+        for d in range(span - 1, 0, -1):
+            masks = masks[(masks & (masks >> d)) != 0]
+    masks = masks[_leakage(masks, span, k, coupling_sq) <= cons.max_leakage]
+    # fragility ess / k <= num / den, compared as exact integers
+    f = cons.max_fragility
+    return masks[_essential_counts(masks, span, k) <= f.numerator * k // f.denominator]
 
 
 def _count_candidates(span, k, symmetric):
@@ -221,16 +252,10 @@ def _solve_pruned(cons):
             if cons.require_hole_free and span and k * (k - 1) < 2 * span:
                 pruned += _count_candidates(span, k, cons.require_symmetric)
                 continue
-            for elems, mask in _candidates(span, k, cons.require_symmetric):
-                explored += 1
-                if cons.require_hole_free and not _mask_hole_free(mask, span, elems):
-                    continue
-                w = _mask_weights(mask, span)
-                if _mask_fragility(elems, w, mask) > cons.max_fragility:
-                    continue
-                if _mask_leakage(w, k, cq) > cons.max_leakage:
-                    continue
-                found.append(elems)
+            for masks in _candidate_blocks(span, k, cons.require_symmetric):
+                explored += masks.size
+                for mask in _feasible(masks, span, k, cons, cq).tolist():
+                    found.append(tuple(e for e in range(span + 1) if mask >> e & 1))
         if found:
             return [SensorArray(e) for e in sorted(found)], k, explored, pruned
     return [], 0, explored, pruned
@@ -256,11 +281,16 @@ def solve_p1(constraints, force=False, naive=False):
 
     Candidates contain 0; ascending cardinality with lexicographic order
     inside each size makes the result deterministic. Apertures above
-    APERTURE_GUARD require force=True (enumeration is exponential).
+    APERTURE_GUARD require force=True (enumeration is exponential);
+    apertures above MAX_SPAN do not fit a candidate mask and raise
+    ValueError even then.
 
     naive=True switches to the unpruned definitional route (small apertures
     only); both routes must agree and the tests enforce that.
     """
+    if constraints.max_aperture > MAX_SPAN:
+        raise ValueError(f"aperture {constraints.max_aperture} exceeds {MAX_SPAN}, "
+                         f"the largest span a 64-bit candidate mask holds")
     if constraints.max_aperture > APERTURE_GUARD and not force:
         raise ValueError(f"aperture {constraints.max_aperture} exceeds the "
                          f"exhaustive-search guard {APERTURE_GUARD}; pass force=True")

@@ -159,6 +159,17 @@ def test_beampattern_chunks_sum_each_row_like_a_lone_omega():
     assert np.array_equal(beampattern(arr, om).values, oracle)
 
 
+def test_beampattern_of_profile_equals_beampattern_of_array():
+    arr = SensorArray((0, 1, 4, 6), name="g")
+    for a in (arr, expand(arr, 3)):
+        om = np.linspace(-np.pi, np.pi, 257)
+        direct = beampattern(a, om)
+        reused = beampattern(difference_coarray(a), om)
+        assert reused.values.tobytes() == direct.values.tobytes()
+        assert reused.source == direct.source
+        assert np.array_equal(reused.omegas, direct.omegas)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_product_beampattern_matches_expanded_direct(seed):
     rng = np.random.default_rng(40 + seed)

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from fracarray import (
+    APERTURE_GUARD,
     DesignConstraints,
     SensorArray,
     difference_coarray,
@@ -211,8 +213,30 @@ def test_search_bad_fragility_string(capsys):
 
 
 def test_search_guard_needs_force(capsys):
-    assert main(["search", "--max-aperture", "25"]) == 2
+    assert main(["search", "--max-aperture", str(APERTURE_GUARD + 1)]) == 2
     assert "force" in capsys.readouterr().err
+
+
+def test_search_rejects_aperture_beyond_a_mask(capsys):
+    argv = ["search", "--max-aperture", "64", "--force", "--no-hole-free",
+            "--max-fragility", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: aperture 64 exceeds 63, the largest span a 64-bit candidate mask holds\n")
+
+
+# stdout of the per-candidate route the block kernel replaced, seconds masked
+SEARCH_20_GOLDEN = """\
+minimum size 10, 2 solution(s), explored 164730, pruned 5036, X.XXs
+  0 1 2 3 7 9 15 17 19 20
+  0 1 3 5 11 13 17 18 19 20
+"""
+
+
+def test_search_golden_output(capsys):
+    assert main(["search", "--max-aperture", "20", "--all-solutions"]) == 0
+    out = re.sub(r", \d+\.\d\ds$", ", X.XXs", capsys.readouterr().out, flags=re.M)
+    assert out == SEARCH_20_GOLDEN
 
 
 SIM_BASE = ["simulate", "--baseline", "mra:4", "--sources", "1",

@@ -1,5 +1,10 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fracarray import (
@@ -8,8 +13,11 @@ from fracarray import (
     DesignConstraints,
     SensorArray,
     check_constraints,
+    difference_coarray,
+    economy,
     solve_p1,
 )
+from fracarray import search
 from conftest import S_ELEMS, G_ELEMS
 
 
@@ -146,3 +154,124 @@ def test_custom_coupling_changes_feasibility():
     assert solve_p1(weak).optimum_size <= 8
     assert solve_p1(weak).optimum  # tiny coupling makes leakage easy
     assert not solve_p1(strong).optimum
+
+
+def _outcome(res):
+    return (res.optimum_size, tuple(a.elements for a in res.optimum), res.explored, res.pruned)
+
+
+def _digest(res):
+    return hashlib.sha256(repr([a.elements for a in res.optimum]).encode()).hexdigest()
+
+
+# outcomes of the benchmark queries, recorded from the per-candidate route
+# the block kernel replaced: optima, order, explored and pruned
+G2 = (0, 1, 2, 3, 7, 9, 15, 17, 19, 20)
+
+
+def test_pinned_symmetric_aperture_20():
+    res = solve_p1(DesignConstraints(max_aperture=20, require_symmetric=True))
+    assert _outcome(res) == (11, (S_ELEMS,), 456, 56)
+
+
+def test_pinned_aperture_20():
+    res = solve_p1(DesignConstraints(max_aperture=20))
+    assert _outcome(res) == (10, (G2, G_ELEMS), 164_730, 5_036)
+
+
+def test_pinned_aperture_22():
+    res = solve_p1(DesignConstraints(max_aperture=22))
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (11, 156, 667_964, 27_896)
+    assert res.optimum[0].elements == (0, 1, 2, 3, 4, 6, 8, 10, 17, 21, 22)
+    assert res.optimum[-1].elements == (0, 2, 5, 7, 11, 12, 18, 19, 20, 21, 22)
+    assert _digest(res) == "90624447d17165247b736af03213a70c077d1d54fae289e997930aa5c0acf187"
+
+
+def test_pinned_infeasible_aperture_18():
+    res = solve_p1(DesignConstraints(max_aperture=18, max_leakage=0.25))
+    assert _outcome(res) == (0, (), 127_858, 3_214)
+    assert res.message == "no feasible array within aperture 18"
+
+
+def _random_mix(rng):
+    return DesignConstraints(
+        max_aperture=int(rng.integers(2, 12)),
+        require_symmetric=bool(rng.integers(2)),
+        require_hole_free=bool(rng.integers(4)),
+        exact_aperture=bool(rng.integers(2)),
+        max_fragility=[Fraction(1), Fraction(2, 7), Fraction(3, 10), Fraction(1, 2),
+                       Fraction(2, 3), Fraction(5, 9)][int(rng.integers(6))],
+        max_leakage=float(rng.uniform(0.15, 1.0)),
+        coupling=CouplingModel(q=int(rng.integers(0, 16)),
+                               c1_magnitude=float(rng.uniform(0.0, 0.6)),
+                               phase_mode="random", seed=int(rng.integers(100))),
+    )
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kernel_equals_naive_route_on_random_mixes(seed):
+    cons = _random_mix(np.random.default_rng(seed))
+    fast = solve_p1(cons)
+    slow = solve_p1(cons, naive=True)
+    assert fast.optimum_size == slow.optimum_size
+    assert tuple(a.elements for a in fast.optimum) == tuple(a.elements for a in slow.optimum)
+
+
+def test_essential_counts_equal_economy_at_span_12():
+    span, checked, hole_free = 12, 0, 0
+    for k in range(2, span + 2):
+        for masks in search._candidate_blocks(span, k, False):
+            counts = search._essential_counts(masks, span, k)
+            for mask, count in zip(masks.tolist(), counts.tolist()):
+                arr = SensorArray(tuple(e for e in range(span + 1) if mask >> e & 1))
+                assert count == len(economy(arr, direct=True).essential), arr
+                checked += 1
+                hole_free += difference_coarray(arr).hole_free
+    assert checked == 2 ** (span - 1)
+    assert hole_free > 100
+
+
+@pytest.mark.parametrize("kw", [
+    dict(max_aperture=15),
+    dict(max_aperture=20, require_symmetric=True),
+    dict(max_aperture=10, exact_aperture=False, max_fragility=Fraction(2, 7), max_leakage=0.45),
+])
+def test_results_do_not_depend_on_the_block_size(kw, monkeypatch):
+    cons = DesignConstraints(**kw)
+    whole = solve_p1(cons)
+    monkeypatch.setattr(search, "BLOCK", 7)
+    assert _outcome(solve_p1(cons)) == _outcome(whole)
+
+
+def test_candidate_blocks_are_bounded_and_complete(monkeypatch):
+    monkeypatch.setattr(search, "BLOCK", 7)
+    for span, k, sym in [(16, 5, False), (27, 3, False), (63, 4, False), (20, 7, True),
+                         (19, 4, True)]:
+        blocks = list(search._candidate_blocks(span, k, sym))
+        masks = np.concatenate(blocks)
+        assert max(b.size for b in blocks) <= 7
+        assert masks.size == np.unique(masks).size == search._count_candidates(span, k, sym)
+        assert (np.bitwise_count(masks) == k).all()
+        assert ((masks & 1) == 1).all() and ((masks >> span) == 1).all()
+
+
+def test_apertures_beyond_a_mask_are_rejected_even_with_force():
+    cons = DesignConstraints(max_aperture=search.MAX_SPAN, require_hole_free=False,
+                             max_fragility=1)
+    res = solve_p1(cons, force=True)
+    assert tuple(a.elements for a in res.optimum) == ((0, search.MAX_SPAN),)
+    wide = DesignConstraints(max_aperture=search.MAX_SPAN + 1, require_hole_free=False,
+                             max_fragility=1)
+    with pytest.raises(ValueError, match="64-bit"):
+        solve_p1(wide, force=True)
+    with pytest.raises(ValueError, match="64-bit"):
+        solve_p1(wide, force=True, naive=True)
+
+
+def test_mask_table_is_built_on_first_use():
+    code = ("import fracarray.search as s; "
+            "print(s._popcount_groups.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "0"
