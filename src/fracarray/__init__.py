@@ -45,6 +45,7 @@ from .search import (
     solve_p1,
 )
 from .doa import (
+    FAILURE_CAUSES,
     EstimationFailure,
     IdentifiabilityError,
     Scenario,

@@ -321,10 +321,11 @@ def _cmd_simulate(args, argv):
     grid = _parse_grid(args.grid)
     dump_fh = open(args.dump_trials, "w") if args.dump_trials else None
 
-    def on_trial(value, index, est):
+    def on_trial(value, index, est, failure):
         if dump_fh is not None:
             rec = {"axis_value": value, "trial": index, "success": est is not None,
-                   "estimates": None if est is None else [float(e) for e in est]}
+                   "estimates": None if est is None else [float(e) for e in est],
+                   "failure": failure}
             dump_fh.write(json.dumps(rec) + "\n")
 
     try:

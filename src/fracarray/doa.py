@@ -5,6 +5,13 @@ Gaussian source amplitudes and noise. Lag statistics of the sample
 covariance form a virtual ULA measurement; spatial smoothing turns it into
 a covariance whose MUSIC pseudospectrum yields the estimates. Directions
 are normalized as sin(theta) / 2 in [-0.5, 0.5].
+
+The pseudospectrum is 1 / a^H P a, with P the projector onto the noise
+eigenvectors of the smoothed covariance. a^H P a is a trigonometric
+polynomial whose lag-d coefficient is the d-th diagonal sum of P, so the
+whole direction grid costs one FFT of length grid_size per trial, not a
+steering matrix of (m + 1) x grid_size entries. The tests hold it against
+the direct steering product.
 """
 
 import math
@@ -66,6 +73,8 @@ class Scenario:
         object.__setattr__(self, "powers", p)
         if self.snapshots < 1:
             raise ValueError("need at least one snapshot")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"SNR must be finite, or inf for noiseless, got {self.snr_db} dB")
         if not 0 <= self.failure_probability < 1:
             raise ValueError("failure probability must lie in [0, 1)")
         if self.trials < 1:
@@ -145,14 +154,9 @@ def _local_maxima(y):
     return np.nonzero((y > np.roll(y, 1)) & (y > np.roll(y, -1)))[0]
 
 
-def coarray_music(virtual, num_sources, grid_size=DEFAULT_GRID):
-    """MUSIC estimates from a virtual ULA measurement vector.
-
-    Spatial smoothing stacks the m+1 length-(m+1) shifted subvectors into a
-    positive-semidefinite covariance; its noise eigenvectors score a
-    pseudospectrum on a uniform direction grid and the num_sources largest
-    strict local peaks come back sorted ascending.
-    """
+def _noise_subspace(virtual, num_sources):
+    """Spatially smooth a virtual ULA measurement and return its m + 1 -
+    num_sources noise eigenvectors as columns."""
     v = np.asarray(virtual)
     if v.ndim != 1 or v.size % 2 == 0:
         raise ValueError("virtual measurement must be an odd-length vector")
@@ -164,17 +168,53 @@ def coarray_music(virtual, num_sources, grid_size=DEFAULT_GRID):
     Z = v[m + idx[:, None] - idx[None, :]]
     R = (Z @ Z.conj().T) / (m + 1)
     _, vecs = np.linalg.eigh(R)
-    noise = vecs[:, : m + 1 - num_sources]
-    grid = np.arange(grid_size) / grid_size - 0.5
-    steer = np.exp(2j * np.pi * np.outer(idx, grid))
-    den = (np.abs(noise.conj().T @ steer) ** 2).sum(axis=0)
+    return vecs[:, : m + 1 - num_sources]
+
+
+def _music_denominator(noise, grid_size):
+    """sum_k |u_k^H a(theta)|^2 on the grid theta_g = g / grid_size - 1/2,
+    through one FFT of the noise projector's lag sums.
+
+    With P = U U^H it equals a^H P a = sum_d c_d exp(2j pi d theta), where
+    c_d = sum_l P[l, l + d]. On the grid each c_d picks up (-1)^d and the
+    sum over d is an inverse DFT with lag d in bin d mod grid_size; lags
+    that alias to one bin (grid_size < 2m + 1) add there.
+    """
+    n = noise.shape[0]
+    P = noise @ noise.conj().T
+    # row l moved right by n - 1 - l, so column d + n - 1 collects P[l, l + d]
+    shifted = np.zeros(n * (2 * n - 1), dtype=complex)
+    shifted[(np.arange(n) * (2 * n - 2) + n - 1)[:, None] + np.arange(n)] = P
+    c = shifted.reshape(n, 2 * n - 1).sum(axis=0)
+    d = np.arange(1 - n, n)
+    b = np.zeros(grid_size, dtype=complex)
+    np.add.at(b, d % grid_size, np.where(d % 2, -c, c))
+    return np.fft.ifft(b, norm="forward").real
+
+
+def _peak_directions(den, num_sources):
+    """The num_sources largest strict local peaks of the pseudospectrum
+    1 / den, as ascending grid directions."""
+    grid_size = den.size
     spectrum = 1.0 / np.maximum(den, 1e-300)
     peaks = _local_maxima(spectrum)
     if peaks.size < num_sources:
         raise EstimationFailure(
             f"found {peaks.size} spectrum peaks, need {num_sources}")
     top = peaks[np.argsort(spectrum[peaks])[-num_sources:]]
-    return np.sort(grid[top])
+    return np.sort(top / grid_size - 0.5)
+
+
+def coarray_music(virtual, num_sources, grid_size=DEFAULT_GRID):
+    """MUSIC estimates from a virtual ULA measurement vector.
+
+    Spatial smoothing stacks the m+1 length-(m+1) shifted subvectors into a
+    positive-semidefinite covariance; its noise eigenvectors score a
+    pseudospectrum on a uniform direction grid and the num_sources largest
+    strict local peaks come back sorted ascending.
+    """
+    noise = _noise_subspace(virtual, num_sources)
+    return _peak_directions(_music_denominator(noise, grid_size), num_sources)
 
 
 def trial_seed(seed, value, index):
@@ -184,25 +224,46 @@ def trial_seed(seed, value, index):
     return np.random.SeedSequence((int(seed), bits, int(index)))
 
 
+FAILURE_CAUSES = ("all_dead", "identifiability", "peaks")
+
+
+def _trial(scenario, seed):
+    """One synthesize-estimate cycle: (ascending estimates, None), or
+    (None, cause) with cause one of FAILURE_CAUSES."""
+    rng = np.random.default_rng(seed)
+    try:
+        surviving, x = synthesize(scenario, rng)
+    except EstimationFailure:
+        return None, "all_dead"
+    virtual = coarray_statistics(x, surviving)
+    try:
+        return coarray_music(virtual, len(scenario.thetas), scenario.grid_size), None
+    except IdentifiabilityError:
+        return None, "identifiability"
+    except EstimationFailure:
+        return None, "peaks"
+
+
 def run_trial(scenario, seed):
     """One synthesize-estimate cycle. Returns ascending estimates, or None
     when the trial fails (all sensors dead, too few usable lags for the
     source count, or too few spectrum peaks)."""
-    rng = np.random.default_rng(seed)
-    try:
-        surviving, x = synthesize(scenario, rng)
-        virtual = coarray_statistics(x, surviving)
-        return coarray_music(virtual, len(scenario.thetas), scenario.grid_size)
-    except (EstimationFailure, IdentifiabilityError):
-        return None
+    return _trial(scenario, seed)[0]
 
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One grid value's outcome. The failed trials split by cause:
+    every sensor dead, too few usable lags for the source count
+    (identifiability), or too few spectrum peaks."""
+
     value: float
     rmse: object            # float, or None when every trial failed
     success_count: int
     trial_count: int
+    all_dead_count: int
+    identifiability_count: int
+    peaks_count: int
 
 
 @dataclass(frozen=True)
@@ -231,31 +292,35 @@ def run_sweep(base, axis, grid, workers=1, on_trial=None):
     stream derives from (base.seed, value, trial index), so the result does
     not depend on worker count or scheduling. Per-point RMSE averages the
     per-trial root-mean-square direction errors over successful trials
-    (None if all failed); truth and estimates pair by sorted order.
+    (None if all failed); truth and estimates pair by sorted order. Every
+    grid value is validated before the first trial runs.
 
-    on_trial, if given, is called as on_trial(value, index, estimates) in
-    deterministic order, estimates being None for failed trials.
+    on_trial, if given, is called as on_trial(value, index, estimates,
+    failure) in deterministic order; estimates is None for failed trials
+    and failure names their cause from FAILURE_CAUSES (None on success).
     """
     if not len(grid):
         raise ValueError("sweep grid must be non-empty")
+    values = [float(value) for value in grid]
+    scenarios = [_with_axis_value(base, axis, value) for value in values]
     points = []
-    for value in grid:
-        value = float(value)
-        sc = _with_axis_value(base, axis, value)
+    for value, sc in zip(values, scenarios):
         seeds = [trial_seed(base.seed, value, i) for i in range(sc.trials)]
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda s: run_trial(sc, s), seeds))
+                results = list(pool.map(lambda s: _trial(sc, s), seeds))
         else:
-            results = [run_trial(sc, s) for s in seeds]
+            results = [_trial(sc, s) for s in seeds]
         truth = np.sort(np.asarray(sc.thetas))
         errs = []
-        for i, est in enumerate(results):
+        for i, (est, failure) in enumerate(results):
             if on_trial is not None:
-                on_trial(value, i, est)
+                on_trial(value, i, est, failure)
             if est is not None:
                 errs.append(math.sqrt(float(np.mean((est - truth) ** 2))))
         rmse = float(np.mean(errs)) if errs else None
-        points.append(SweepPoint(value, rmse, len(errs), sc.trials))
+        causes = [failure for _, failure in results]
+        points.append(SweepPoint(value, rmse, len(errs), sc.trials,
+                                 *(causes.count(c) for c in FAILURE_CAUSES)))
     return SweepResult(axis, tuple(points))

@@ -99,6 +99,15 @@ def oracle_leakage(elems, q, c1_mag):
     return math.sqrt(off / total)
 
 
+def oracle_music_denominator(noise, grid_size):
+    """MUSIC denominator sum_k |u_k^H a(theta)|^2 straight from the
+    (m+1) x grid_size steering matrix on the grid g / grid_size - 1/2."""
+    idx = np.arange(noise.shape[0])
+    grid = np.arange(grid_size) / grid_size - 0.5
+    steer = np.exp(2j * np.pi * np.outer(idx, grid))
+    return (np.abs(noise.conj().T @ steer) ** 2).sum(axis=0)
+
+
 def oracle_expand(gen_elems, half_u, r):
     """Fractal expansion via the unrolled digit sum with base 2*half_u + 1."""
     base = 2 * half_u + 1

@@ -303,6 +303,50 @@ def test_simulate_dump_trials(tmp_path, capsys):
     assert [rec["trial"] for rec in lines] == [0, 1, 2]
 
 
+def test_simulate_dump_names_failure_causes(tmp_path, capsys):
+    dump = tmp_path / "trials.jsonl"
+    assert main(["simulate", "--baseline", "ula:2", "--sources", "1", "--snapshots", "20",
+                 "--trials", "12", "--grid-size", "512", "--sweep", "failure",
+                 "--grid", "0.8", "--dump-trials", str(dump)]) == 0
+    recs = [json.loads(l) for l in dump.read_text().splitlines()]
+    for rec in recs:
+        assert list(rec) == ["axis_value", "trial", "success", "estimates", "failure"]
+        assert rec["success"] == (rec["failure"] is None) == (rec["estimates"] is not None)
+    assert {rec["failure"] for rec in recs} == {None, "all_dead", "identifiability"}
+    assert capsys.readouterr().out.splitlines()[0] == "axis_value,rmse,success_count,trial_count"
+
+
+def test_simulate_threads_match_serial_on_ragged_trials(tmp_path):
+    # failure sweep with random-phase coupling: m differs from trial to trial
+    src = _write(tmp_path / "g2.json", expand(SensorArray((0, 1, 4, 6)), 2).elements)
+    outs = []
+    for threads in ("1", "2"):
+        csv, dump = tmp_path / f"{threads}.csv", tmp_path / f"{threads}.jsonl"
+        assert main(["simulate", "--array", src, "--sources", "10", "--snapshots", "200",
+                     "--trials", "4", "--grid-size", "2048", "--sweep", "failure",
+                     "--grid", "0,0.1,0.2", "--coupling-c1-mag", "0.3",
+                     "--threads", threads, "--out", str(csv), "--dump-trials", str(dump)]) == 0
+        outs.append((csv.read_bytes(), dump.read_bytes()))
+    assert outs[0] == outs[1]
+    assert b'"failure": "identifiability"' in outs[0][1]
+
+
+@pytest.mark.parametrize("flags", [["--grid", "nan"], ["--grid=-inf"], ["--grid", "0,nan"],
+                                   ["--grid", "0", "--snr", "nan"]])
+def test_simulate_rejects_nan_and_minus_inf_snr(flags, tmp_path, capsys):
+    dump = tmp_path / "trials.jsonl"
+    assert main(SIM_BASE[:-2] + flags + ["--dump-trials", str(dump)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: SNR must be finite, or inf for noiseless, got ")
+    assert not dump.exists() or dump.read_text() == ""  # no trial ran
+
+
+def test_simulate_infinite_snr_is_noiseless(capsys):
+    assert main(SIM_BASE[:-1] + ["inf"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("inf,")
+
+
 def test_simulate_total_failure_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--baseline", "nested:4,4", "--sources", "20",
                "--snapshots", "50", "--trials", "2", "--grid-size", "1024",

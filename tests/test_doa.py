@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracarray import (
+    FAILURE_CAUSES,
     CouplingModel,
     EstimationFailure,
     IdentifiabilityError,
@@ -13,13 +15,31 @@ from fracarray import (
     coarray_statistics,
     difference_coarray,
     equally_spaced_thetas,
+    expand,
     nested,
     run_sweep,
     run_trial,
     synthesize,
     trial_seed,
 )
-from conftest import S_ELEMS
+from fracarray.doa import _music_denominator, _noise_subspace, _peak_directions
+from conftest import S_ELEMS, oracle_music_denominator
+
+
+def _faults_scenario(**kw):
+    # the benchmark's failure sweep: (0,1,4,6)^2 (m = 84 intact), ten
+    # sources and random-phase coupling, so m differs from trial to trial
+    base = dict(array=expand(SensorArray((0, 1, 4, 6)), 2),
+                thetas=equally_spaced_thetas(10), failure_probability=0.1,
+                coupling=CouplingModel(q=15, c1_magnitude=0.3, phase_mode="random"),
+                trials=4)
+    base.update(kw)
+    return Scenario(**base)
+
+
+def _virtual(sc, seed):
+    surviving, x = synthesize(sc, np.random.default_rng(seed))
+    return coarray_statistics(x, surviving)
 
 
 def _scenario(**kw):
@@ -48,6 +68,22 @@ def test_scenario_validation():
         _scenario(snapshots=0)
     with pytest.raises(ValueError):
         _scenario(grid_size=2)
+
+
+@pytest.mark.parametrize("snr", [math.nan, -math.inf])
+def test_scenario_rejects_nan_and_minus_inf_snr(snr):
+    with pytest.raises(ValueError, match="SNR must be finite"):
+        _scenario(snr_db=snr)
+    seen = []
+    with pytest.raises(ValueError, match="SNR must be finite"):
+        run_sweep(_scenario(), "snr_db", [0.0, snr],
+                  on_trial=lambda *rec: seen.append(rec))
+    assert seen == []  # the grid is validated before the first trial
+
+
+def test_infinite_snr_is_noiseless():
+    point = run_sweep(_scenario(trials=2), "snr_db", [math.inf]).points[0]
+    assert point.value == math.inf and point.success_count == 2
 
 
 def test_noise_power_mapping():
@@ -180,6 +216,50 @@ def test_music_identifiability_limit():
         coarray_music(np.ones(4, dtype=complex), 1)  # even length is malformed
 
 
+@pytest.mark.parametrize("grid_size", [4096, 4095, 64, 101])
+def test_music_denominator_matches_steering_product(grid_size):
+    # even and odd grids; 64 and 101 are below 2m + 1, so lags alias
+    sc = _faults_scenario()
+    virtuals = [_virtual(sc, trial_seed(0, 0.1, i)) for i in range(6)]
+    virtuals.append(_virtual(replace(sc, failure_probability=0.0), 1))
+    virtuals.append(_virtual(replace(sc, array=SensorArray(S_ELEMS)), 1))
+    halfwidths = set()
+    for v in virtuals:
+        m = (v.size - 1) // 2
+        halfwidths.add(m)
+        for k in (1, min(10, m)):
+            noise = _noise_subspace(v, k)
+            assert noise.shape == (m + 1, m + 1 - k)
+            err = np.abs(_music_denominator(noise, grid_size)
+                         - oracle_music_denominator(noise, grid_size)).max()
+            assert err <= 1e-12 * (m + 1 - k)
+    assert len(halfwidths) > 2 and 2 * max(halfwidths) + 1 > 101
+
+
+def test_music_estimates_match_oracle_spectrum():
+    # faulty, coupled trials at the default grid: the library estimates
+    # equal the steering-product spectrum through the same peak pick
+    sc = _faults_scenario(failure_probability=0.05)
+    compared = peaks_failed = 0
+    for i in range(20):
+        v = _virtual(sc, trial_seed(0, 0.05, i))
+        try:
+            noise = _noise_subspace(v, 10)
+        except IdentifiabilityError:
+            continue
+        compared += 1
+        den = oracle_music_denominator(noise, sc.grid_size)
+        try:
+            want = _peak_directions(den, 10)
+        except EstimationFailure:
+            peaks_failed += 1
+            with pytest.raises(EstimationFailure):
+                coarray_music(v, 10, sc.grid_size)
+            continue
+        assert np.array_equal(coarray_music(v, 10, sc.grid_size), want)
+    assert compared >= 15 and peaks_failed >= 1
+
+
 def test_smoothed_covariance_is_positive_semidefinite():
     sc = _scenario(snr_db=0.0)
     surviving, x = synthesize(sc, np.random.default_rng(21))
@@ -259,6 +339,66 @@ def test_sweep_worker_count_does_not_change_results():
     assert serial.points[0].success_count == threaded.points[0].success_count
 
 
+def _records(sc, axis, grid, workers):
+    seen = []
+
+    def on_trial(value, index, est, failure):
+        seen.append((value, index, None if est is None else est.tolist(), failure))
+
+    return run_sweep(sc, axis, grid, workers=workers, on_trial=on_trial), seen
+
+
+def test_sweep_worker_count_does_not_change_ragged_results():
+    # failure axis with random-phase coupling: every trial has its own
+    # surviving array, so m (and the MUSIC problem size) varies per trial
+    sc = _faults_scenario(trials=5, grid_size=2048)
+    serial, serial_seen = _records(sc, "failure_probability", [0.1, 0.3], 1)
+    threaded, threaded_seen = _records(sc, "failure_probability", [0.1, 0.3], 3)
+    assert serial == threaded
+    assert serial_seen == threaded_seen
+    sizes = {_virtual(replace(sc, failure_probability=p), trial_seed(0, p, i)).size
+             for p in (0.1, 0.3) for i in range(5)}
+    assert len(sizes) > 2
+
+
+def _replayed_cause(sc, seed):
+    # stage by stage, as a user would diagnose one trial
+    rng = np.random.default_rng(seed)
+    try:
+        surviving, x = synthesize(sc, rng)
+    except EstimationFailure:
+        return "all_dead"
+    try:
+        coarray_music(coarray_statistics(x, surviving), len(sc.thetas), sc.grid_size)
+    except IdentifiabilityError:
+        return "identifiability"
+    except EstimationFailure:
+        return "peaks"
+    return None
+
+
+@pytest.mark.parametrize("sc, grid, seen_causes", [
+    (_faults_scenario(trials=6, seed=1), [0.0, 0.05, 0.1, 0.2], {"identifiability", "peaks"}),
+    # a lone survivor leaves m = 0, too few lags for one source
+    (Scenario(array=SensorArray((0, 1)), thetas=(0.1,), snapshots=20, trials=30,
+              grid_size=512), [0.9], {"all_dead", "identifiability"}),
+])
+def test_sweep_counts_failures_by_cause(sc, grid, seen_causes):
+    res, seen = _records(sc, "failure_probability", grid, 2)
+    found = set()
+    for point in res.points:
+        causes = [_replayed_cause(replace(sc, failure_probability=point.value),
+                                  trial_seed(sc.seed, point.value, i))
+                  for i in range(sc.trials)]
+        assert (point.all_dead_count, point.identifiability_count,
+                point.peaks_count) == tuple(causes.count(c) for c in FAILURE_CAUSES)
+        assert point.success_count == causes.count(None)
+        assert [f for v, _, _, f in seen if v == point.value] == causes
+        found.update(causes)
+    assert all(est is None for _, _, est, f in seen if f is not None)
+    assert found - {None} == seen_causes
+
+
 def test_sweep_rmse_averages_only_successful_trials():
     # heavy coupling makes some trials fail; the reported rmse must equal the
     # mean of per-trial rms errors recomputed over the surviving trials only
@@ -286,7 +426,8 @@ def test_sweep_rmse_averages_only_successful_trials():
 def test_sweep_on_trial_callback_order():
     sc = _scenario(trials=3)
     seen = []
-    run_sweep(sc, "snr_db", [0.0, 10.0], on_trial=lambda v, i, est: seen.append((v, i, est is not None)))
+    run_sweep(sc, "snr_db", [0.0, 10.0],
+              on_trial=lambda v, i, est, failure: seen.append((v, i, est is not None)))
     assert [(v, i) for v, i, _ in seen] == [(0.0, 0), (0.0, 1), (0.0, 2),
                                            (10.0, 0), (10.0, 1), (10.0, 2)]
 

@@ -15,6 +15,7 @@ from fracarray import (
     check_constraints,
     difference_coarray,
     economy,
+    leakage_from_profile,
     solve_p1,
 )
 from fracarray import search
@@ -275,3 +276,25 @@ def test_mask_table_is_built_on_first_use():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "0"
+
+
+def test_kernel_leakage_decisions_match_check_constraints_at_the_cap():
+    # the kernel sums leakage lag by lag, check_constraints through numpy's
+    # pairwise sum; at a cap equal to the library value both must accept,
+    # one ulp below it both must reject
+    model = DesignConstraints(max_aperture=20).coupling
+    cq = [(model.c1_magnitude / d) ** 2 for d in range(1, model.q + 1)]
+    first = np.array([sum(1 << e for e in (0, 1, 2, 3, 4, 5, 6, 7, 8, 20))], dtype=np.uint64)
+    masks = np.concatenate([first, next(search._candidate_blocks(20, 10, False))[:200]])
+    sums_differ = 0
+    for mask in masks:
+        mask = mask.reshape(1)
+        arr = SensorArray(search._elements(int(mask[0]), 20))
+        lib = leakage_from_profile(difference_coarray(arr), model)
+        sums_differ += search._leakage(mask, 20, 10, cq)[0] != lib
+        for cap, accept in ((lib, True), (np.nextafter(lib, 0), False)):
+            cons = DesignConstraints(max_aperture=20, require_hole_free=False,
+                                     max_fragility=1, max_leakage=float(cap))
+            assert check_constraints(arr, cons).feasible is accept
+            assert search._feasible(mask, 20, 10, cons, cq).size == accept
+    assert sums_differ > 10  # the two sums really do part on this block
