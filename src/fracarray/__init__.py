@@ -26,11 +26,9 @@ from .analysis import (
     economy,
     fractal_weight,
     product_beampattern,
-    weight_expand,
 )
 from .coupling import (
     CouplingModel,
-    coupling_leakage,
     coupling_matrix,
     leakage_from_profile,
     verify_leakage_preservation,

@@ -10,18 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CoarrayProfile, SensorArray, difference_coarray, pair_blocks
-
-
-def weight_expand(w, ell):
-    """Stretch a weight map by ell: entry at lag n moves to lag n * ell,
-    with zeros in between."""
-    if ell < 1:
-        raise ValueError("expansion factor must be >= 1")
-    w = np.asarray(w, dtype=np.int64)
-    out = np.zeros((w.size - 1) * ell + 1, dtype=np.int64)
-    out[::ell] = w
-    return out
+from .core import CoarrayProfile, difference_coarray, pair_blocks
 
 
 def fractal_weight(generator, r):
@@ -151,30 +140,17 @@ def _pair_pass(elems, counts):
     return ends | middle, bool(ends.all())
 
 
-def _removal_changes_coarray(elems, i, profile):
-    rest = tuple(int(e) for e in np.delete(elems, i))
-    sub = difference_coarray(SensorArray(rest))
-    return set(sub.differences) != set(profile.differences)
-
-
-def _satisfies_c1(elems, profile):
-    # the definition: every sensor g has some h with weight(g - h) == 1
-    return all(any(profile.weight(g - h) == 1 for h in elems if h != g) for g in elems)
-
-
-def economy(array, direct=False):
+def economy(array):
     """Partition sensors into essential and inessential, with the essential
     fraction as an exact rational.
 
     array is a SensorArray, or its CoarrayProfile when the coarray is
     already built; the profile is then reused instead of recomputed.
 
-    direct=True recomputes the coarray once per removed sensor, straight
-    from the definition, and tests C1 sensor by sensor. The default reads
-    both from one chunked pass over the sensor pairs, O(N^2) like the
-    coarray itself: a sensor is essential iff it ends a pair at a weight-1
-    lag or sits between the two pairs of a weight-2 lag. The test suite
-    holds the two routes equal.
+    Both essentialness and C1 come from one chunked pass over the sensor
+    pairs, O(N^2) like the coarray itself: a sensor is essential iff it
+    ends a pair at a weight-1 lag or sits between the two pairs of a
+    weight-2 lag.
 
     A single-sensor array counts as essential by convention, fragility 1.
     """
@@ -188,11 +164,7 @@ def economy(array, direct=False):
         return EconomyReport(tuple(array.elements), (), Fraction(1), True, True)
     if profile is None:
         profile = difference_coarray(array)
-    if direct:
-        mask = np.array([_removal_changes_coarray(elems, i, profile) for i in range(n)])
-        c1 = _satisfies_c1(array.elements, profile)
-    else:
-        mask, c1 = _pair_pass(elems, profile.counts)
+    mask, c1 = _pair_pass(elems, profile.counts)
     essential = tuple(int(e) for e in elems[mask])
     inessential = tuple(int(e) for e in elems[~mask])
     return EconomyReport(

@@ -125,7 +125,9 @@ def _parse_grid(text):
         a, b, step = (float(p) for p in parts)
         if step <= 0 or b < a:
             raise ArrayFormatError(f"grid {text!r} must ascend with a positive step")
-        n = int(round((b - a) / step)) + 1
+        # the tolerance keeps a stop a whole number of steps away, such as
+        # 1 in 0:1:0.1, in the grid despite rounding in the division
+        n = math.floor((b - a) / step + 1e-9) + 1
         return [a + i * step for i in range(n)]
     return [float(p) for p in text.split(",") if p != ""]
 
@@ -261,7 +263,7 @@ def _cmd_search(args, argv):
         coupling=_coupling_from_args(args),
         exact_aperture=args.exact_aperture,
     )
-    result = solve_p1(constraints, force=args.force, naive=args.naive)
+    result = solve_p1(constraints, force=args.force)
     if args.json:
         doc = {
             "constraints": _config_of(args),
@@ -319,10 +321,15 @@ def _cmd_simulate(args, argv):
         grid_size=args.grid_size,
     )
     grid = _parse_grid(args.grid)
-    dump_fh = open(args.dump_trials, "w") if args.dump_trials else None
+    # opened at the first record: run_sweep validates the whole grid before
+    # any trial runs, so a rejected grid leaves no dump file behind
+    dump_fh = None
 
     def on_trial(value, index, est, failure):
-        if dump_fh is not None:
+        nonlocal dump_fh
+        if args.dump_trials:
+            if dump_fh is None:
+                dump_fh = open(args.dump_trials, "w")
             rec = {"axis_value": value, "trial": index, "success": est is not None,
                    "estimates": None if est is None else [float(e) for e in est],
                    "failure": failure}
@@ -444,7 +451,6 @@ def _build_parser():
     _add_coupling_flags(p, "fixed")
     p.add_argument("--seed", type=int, default=0, help="seed for random coupling phases")
     p.add_argument("--all-solutions", action="store_true")
-    p.add_argument("--naive", action="store_true", help="unpruned reference enumeration (small apertures)")
     p.add_argument("--force", action="store_true", help="allow apertures beyond the guard")
     p.add_argument("--json", metavar="PATH")
     p.set_defaults(func=_cmd_search)
@@ -489,10 +495,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args, argv)
-    except ArrayFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

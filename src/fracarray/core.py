@@ -7,7 +7,6 @@ units only matter at display time.
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +42,8 @@ class SensorArray:
             raise ArrayFormatError("array needs at least one element")
         cleaned = sorted(set(cleaned))
         lo = cleaned[0]
+        if cleaned[-1] - lo >= 2 ** 63:  # positions are stored as int64
+            raise ArrayFormatError(f"aperture {cleaned[-1] - lo} does not fit a 64-bit integer")
         object.__setattr__(self, "elements", tuple(e - lo for e in cleaned))
         if not isinstance(self.name, str):
             raise ArrayFormatError("array name must be a string")
@@ -108,8 +109,6 @@ class CoarrayProfile:
         aperture: largest possible lag (the array aperture)
         counts: read-only int64 vector, counts[d] = ordered pairs at lag d
             for d in 0..aperture; negative lags mirror by symmetry
-        differences: sorted tuple of every lag with a nonzero count, built
-            on first access (a python tuple costs far more than counts)
         dof: number of distinct lags
         hole_free: True when the lags fill [-aperture, aperture] completely
         central_ula_halfwidth: largest m with all of [-m, m] present
@@ -130,11 +129,6 @@ class CoarrayProfile:
         m = int(missing[0]) - 1 if missing.size else self.aperture
         self.central_ula_halfwidth = m
         self.ula_size = 2 * m + 1
-
-    @cached_property
-    def differences(self):
-        nonneg = np.nonzero(self.counts)[0]
-        return tuple(int(d) for d in np.concatenate([-nonneg[:0:-1], nonneg]))
 
     def weight(self, lag):
         """Ordered-pair count at one lag; zero outside the coarray."""

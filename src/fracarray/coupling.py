@@ -61,18 +61,13 @@ def coupling_matrix(array, model, rng=None):
     return C
 
 
-def coupling_leakage(C):
-    """Fraction of a coupling matrix's Frobenius energy sitting off the
-    diagonal, in [0, 1]."""
-    off = C - np.diag(np.diag(C))
-    return float(np.linalg.norm(off) / np.linalg.norm(C))
-
-
 def leakage_from_profile(profile, model):
-    """Same leakage computed from pair counts instead of the dense matrix.
+    """Coupling leakage: the fraction of the coupling matrix's Frobenius
+    energy that sits off the diagonal, in [0, 1], computed from pair counts
+    without building the matrix.
 
     Phases cancel in the Frobenius norms, so only the magnitude rule
-    enters; the test suite holds this against the matrix route.
+    enters; the test suite holds this against the dense-matrix route.
     """
     qa = min(model.q, profile.aperture)
     d = np.arange(1, qa + 1)

@@ -7,13 +7,10 @@ bitmasks over {0..max_aperture}, so apertures stop at MAX_SPAN = 63. One
 numpy kernel builds them block by block (at most BLOCK masks each, from a
 table of low-bit masks grouped by popcount) and tests each block with one
 AND-shift per lag: hole-free first, then leakage, then the essential-sensor
-count behind fragility, all exact. A deliberately naive route (build every
-subset containing 0 and evaluate it through the definitional metric code)
-exists for oracle-equivalence testing.
+count behind fragility, all exact.
 """
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -110,9 +107,9 @@ def check_constraints(array, constraints):
 class SearchResult:
     """All minimum-cardinality feasible arrays, in lexicographic order.
 
-    explored counts candidates built and tested by the block kernel (or,
-    on the naive route, one by one); pruned counts candidates ruled out in
-    bulk by sound bounds without being built.
+    explored counts candidates built and tested by the block kernel;
+    pruned counts candidates ruled out in bulk by sound bounds without
+    being built.
     """
 
     optimum: tuple
@@ -275,22 +272,7 @@ def _solve_pruned(cons):
     return [], 0, explored, pruned
 
 
-def _solve_naive(cons):
-    A = cons.max_aperture
-    explored = 0
-    for k in range(1, A + 2):
-        found = []
-        for rest in itertools.combinations(range(1, A + 1), k - 1):
-            explored += 1
-            cand = SensorArray((0,) + rest)
-            if check_constraints(cand, cons).feasible:
-                found.append(cand)
-        if found:
-            return found, k, explored
-    return [], 0, explored
-
-
-def solve_p1(constraints, force=False, naive=False):
+def solve_p1(constraints, force=False):
     """Find every minimum-cardinality array satisfying the constraints.
 
     Candidates contain 0; ascending cardinality with lexicographic order
@@ -298,9 +280,6 @@ def solve_p1(constraints, force=False, naive=False):
     APERTURE_GUARD require force=True (enumeration is exponential);
     apertures above MAX_SPAN do not fit a candidate mask and raise
     ValueError even then.
-
-    naive=True switches to the unpruned definitional route (small apertures
-    only); both routes must agree and the tests enforce that.
     """
     if constraints.max_aperture > MAX_SPAN:
         raise ValueError(f"aperture {constraints.max_aperture} exceeds {MAX_SPAN}, "
@@ -309,11 +288,7 @@ def solve_p1(constraints, force=False, naive=False):
         raise ValueError(f"aperture {constraints.max_aperture} exceeds the "
                          f"exhaustive-search guard {APERTURE_GUARD}; pass force=True")
     t0 = time.perf_counter()
-    if naive:
-        sols, size, explored = _solve_naive(constraints)
-        pruned = 0
-    else:
-        sols, size, explored, pruned = _solve_pruned(constraints)
+    sols, size, explored, pruned = _solve_pruned(constraints)
     elapsed = time.perf_counter() - t0
     msg = "" if sols else f"no feasible array within aperture {constraints.max_aperture}"
     return SearchResult(tuple(sols), size, explored, pruned, elapsed, msg)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracarray import weight_expand
+from fracarray import EconomyReport, SensorArray, check_constraints
 
 # reference designs used across the suite
 S_ELEMS = (0, 1, 2, 4, 7, 10, 13, 16, 18, 19, 20)
@@ -29,6 +29,12 @@ def oracle_weight_map(elems):
             d = a - b
             w[d] = w.get(d, 0) + 1
     return w
+
+
+def coarray_lags(profile):
+    """Sorted tuple of every lag of a CoarrayProfile with a nonzero count."""
+    nonneg = [d for d, c in enumerate(profile.counts.tolist()) if c]
+    return tuple([-d for d in reversed(nonneg[1:])] + nonneg)
 
 
 def oracle_hole_free(elems):
@@ -59,6 +65,28 @@ def oracle_c1(elems):
     occurs once among the positive lags."""
     w = oracle_weight_map(elems)
     return all(any(w[g - h] == 1 for h in elems if h != g) for g in elems)
+
+
+def oracle_economy(elems):
+    """economy() from the removal definition and C1 sensor by sensor; a
+    single sensor counts as essential and satisfies C1 by convention."""
+    flags = oracle_essential(elems)
+    essential = tuple(e for e, f in zip(elems, flags) if f)
+    inessential = tuple(e for e, f in zip(elems, flags) if not f)
+    c1 = len(elems) == 1 or oracle_c1(elems)
+    fragility = Fraction(len(essential), len(elems))
+    return EconomyReport(essential, inessential, fragility, not inessential, c1)
+
+
+def weight_expand(w, ell):
+    """Stretch a weight map by ell: entry at lag n moves to lag n * ell,
+    with zeros in between."""
+    if ell < 1:
+        raise ValueError("expansion factor must be >= 1")
+    w = np.asarray(w, dtype=np.int64)
+    out = np.zeros((w.size - 1) * ell + 1, dtype=np.int64)
+    out[::ell] = w
+    return out
 
 
 def oracle_fractal_weight(gen_elems, r):
@@ -97,6 +125,26 @@ def oracle_leakage(elems, q, c1_mag):
             if i != j:
                 off += c * c
     return math.sqrt(off / total)
+
+
+def matrix_leakage(C):
+    """Coupling leakage from a dense coupling matrix: the fraction of its
+    Frobenius energy sitting off the diagonal."""
+    off = C - np.diag(np.diag(C))
+    return float(np.linalg.norm(off) / np.linalg.norm(C))
+
+
+def oracle_solve_p1(cons):
+    """solve_p1 by brute force: every subset containing 0, in ascending
+    cardinality and lexicographic order, through check_constraints. Returns
+    (size, optima as element tuples); (0, ()) when nothing is feasible."""
+    A = cons.max_aperture
+    for k in range(1, A + 2):
+        found = tuple((0,) + rest for rest in itertools.combinations(range(1, A + 1), k - 1)
+                      if check_constraints(SensorArray((0,) + rest), cons).feasible)
+        if found:
+            return k, found
+    return 0, ()
 
 
 def oracle_music_denominator(noise, grid_size):

@@ -16,19 +16,18 @@ from fracarray import (
     nested,
     product_beampattern,
     ula,
-    weight_expand,
 )
 from conftest import (
     S_ELEMS,
     G_ELEMS,
-    oracle_c1,
     oracle_collision_free,
+    oracle_economy,
     oracle_essential,
     oracle_fractal_weight,
-    oracle_fragility,
     oracle_hole_free,
     oracle_weight_map,
     random_elements,
+    weight_expand,
 )
 
 
@@ -237,39 +236,20 @@ def _middle_only(elems):
 
 
 def _assert_pair_route_matches_oracles(elems):
-    arr = SensorArray(elems)
-    rep = economy(arr)
-    direct = economy(arr, direct=True)
-    assert rep == direct
-    flags = oracle_essential(elems)
-    assert rep.essential == tuple(e for e, f in zip(elems, flags) if f)
-    assert rep.satisfies_C1 == oracle_c1(elems)
+    assert economy(SensorArray(elems)) == oracle_economy(elems)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_fast_essentialness_equals_removal_definition(seed):
     rng = np.random.default_rng(seed)
-    elems = random_elements(rng, 14)
-    arr = SensorArray(elems)
-    fast = economy(arr)
-    direct = economy(arr, direct=True)
-    assert fast.essential == direct.essential
-    assert fast.fragility == direct.fragility
-    flags = oracle_essential(elems)
-    assert fast.essential == tuple(e for e, f in zip(elems, flags) if f)
-    assert fast.fragility == oracle_fragility(elems)
+    _assert_pair_route_matches_oracles(random_elements(rng, 14))
 
 
 def test_fast_essentialness_on_pool(small_pool):
     middles = 0
     for elems in small_pool:
-        arr = SensorArray(elems)
-        rep = economy(arr)
-        assert rep.fragility == oracle_fragility(elems)
-        assert rep.essential == economy(arr, direct=True).essential
-        if len(elems) > 1:
-            _assert_pair_route_matches_oracles(elems)
-            middles += bool(_middle_only(elems))
+        _assert_pair_route_matches_oracles(elems)
+        middles += len(elems) > 1 and bool(_middle_only(elems))
     assert middles > 0
 
 
@@ -324,8 +304,7 @@ def test_pair_route_across_chunk_boundaries(monkeypatch):
     expand(SensorArray(G_ELEMS), 2),
 ))
 def test_economy_of_profile_equals_economy_of_array(arr):
-    assert economy(difference_coarray(arr)) == economy(arr)
-    assert economy(difference_coarray(arr), direct=True) == economy(arr, direct=True)
+    assert economy(difference_coarray(arr)) == economy(arr) == oracle_economy(arr.elements)
 
 
 def test_laws_one_order_higher():

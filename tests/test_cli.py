@@ -13,8 +13,8 @@ from fracarray import (
     expand,
     solve_p1,
 )
-from fracarray.cli import main
-from conftest import S_ELEMS
+from fracarray.cli import _parse_grid, main
+from conftest import S_ELEMS, oracle_solve_p1
 
 
 def _write(path, elements, name=""):
@@ -108,6 +108,18 @@ def test_analyze_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("last,message", [
+    (10 ** 20, "does not fit a 64-bit integer"),  # no int64 vector holds it
+    (10 ** 15, "Unable to allocate"),  # the lag-count vector alone needs 8 PB
+], ids=("1e20", "1e15"))
+def test_analyze_oversized_positions_exit_two(last, message, tmp_path, capsys):
+    src = _write(tmp_path / "big.json", (0, last))
+    assert main(["analyze", src]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in out + err
+
+
 def test_expand_single_generator(tmp_path, capsys):
     gen = _write(tmp_path / "g.json", (0, 1, 4, 6))
     out = tmp_path / "g2.json"
@@ -198,14 +210,13 @@ def test_search_json_matches_library(tmp_path, capsys):
 
 
 def test_search_naive_route_agrees(tmp_path):
-    fast_path, slow_path = tmp_path / "f.json", tmp_path / "s.json"
-    args = ["search", "--max-aperture", "6", "--max-fragility", "1",
-            "--max-leakage", "1"]
-    assert main(args + ["--json", str(fast_path)]) == 0
-    assert main(args + ["--naive", "--json", str(slow_path)]) == 0
-    fast = json.loads(fast_path.read_text())
-    slow = json.loads(slow_path.read_text())
-    assert fast["optimum"] == slow["optimum"]
+    path = tmp_path / "f.json"
+    assert main(["search", "--max-aperture", "6", "--max-fragility", "1",
+                 "--max-leakage", "1", "--json", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    size, optima = oracle_solve_p1(
+        DesignConstraints(max_aperture=6, max_fragility=1, max_leakage=1))
+    assert (doc["optimum_size"], doc["optimum"]) == (size, [list(e) for e in optima])
 
 
 def test_search_bad_fragility_string(capsys):
@@ -339,7 +350,16 @@ def test_simulate_rejects_nan_and_minus_inf_snr(flags, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: SNR must be finite, or inf for noiseless, got ")
-    assert not dump.exists() or dump.read_text() == ""  # no trial ran
+    assert not dump.exists()
+    assert not (tmp_path / "trials.jsonl.manifest.json").exists()
+
+
+def test_simulate_rejected_failure_grid_leaves_no_dump(tmp_path, capsys):
+    dump = tmp_path / "trials.jsonl"
+    assert main(SIM_BASE[:-4] + ["--sweep", "failure", "--grid", "1.5",
+                                 "--dump-trials", str(dump)]) == 2
+    assert capsys.readouterr().err == "error: failure probability must lie in [0, 1)\n"
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_simulate_infinite_snr_is_noiseless(capsys):
@@ -361,6 +381,23 @@ def test_simulate_source_choice_validation(capsys):
     assert main(["simulate", "--sources", "1", "--sweep", "snr", "--grid", "0"]) == 2
     assert main(["simulate", "--array", "x.json", "--baseline", "mra:4",
                  "--sources", "1", "--sweep", "snr", "--grid", "0"]) == 2
+
+
+@pytest.mark.parametrize("text,want", [
+    ("0:10:3.5", [0, 3.5, 7]),
+    ("0:0.9:0.35", [0, 0.35, 0.7]),
+    ("0:1:0.1", [i / 10 for i in range(11)]),
+    ("-10:20:5", [-10, -5, 0, 5, 10, 15, 20]),
+    ("0:0:1", [0]),
+])
+def test_grid_points_stop_at_stop(text, want):
+    assert _parse_grid(text) == pytest.approx(want, abs=1e-12)
+
+
+def test_simulate_failure_grid_within_range(capsys):
+    assert main(SIM_BASE[:-4] + ["--sweep", "failure", "--grid", "0:0.9:0.35"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "0.35", "0.7"]
 
 
 def test_simulate_bad_grid_and_range(capsys, tmp_path):

@@ -15,6 +15,7 @@ from fracarray import (
 )
 from conftest import (
     S_ELEMS,
+    coarray_lags,
     oracle_central_halfwidth,
     oracle_differences,
     oracle_hole_free,
@@ -25,7 +26,7 @@ from conftest import (
 
 def test_two_element_array():
     prof = difference_coarray(SensorArray((0, 1)))
-    assert prof.differences == (-1, 0, 1)
+    assert coarray_lags(prof) == (-1, 0, 1)
     assert prof.dof == 3
     assert prof.hole_free
     assert prof.central_ula_halfwidth == 1
@@ -43,7 +44,7 @@ def test_minimum_hole_expander_coarray():
 
 def test_holey_coarray():
     prof = difference_coarray(SensorArray((0, 1, 5)))
-    assert prof.differences == (-5, -4, -1, 0, 1, 4, 5)
+    assert coarray_lags(prof) == (-5, -4, -1, 0, 1, 4, 5)
     assert not prof.hole_free
     assert prof.central_ula_halfwidth == 1
 
@@ -54,7 +55,7 @@ def test_weights_match_bruteforce(seed):
     elems = random_elements(rng, 12)
     prof = difference_coarray(SensorArray(elems))
     want = oracle_weight_map(elems)
-    assert prof.differences == tuple(sorted(want))
+    assert coarray_lags(prof) == tuple(sorted(want))
     for m in range(-prof.aperture - 1, prof.aperture + 2):
         assert prof.weight(m) == want.get(m, 0)
 
@@ -65,7 +66,7 @@ def test_profile_invariants(seed):
     elems = random_elements(rng, 40)
     arr = SensorArray(elems)
     prof = difference_coarray(arr)
-    diffs = set(prof.differences)
+    diffs = set(coarray_lags(prof))
     n = len(arr)
     assert 0 in diffs
     assert diffs == {-d for d in diffs}
@@ -87,7 +88,7 @@ def test_central_ula_halfwidth():
 
 def test_single_sensor_profile():
     prof = difference_coarray(SensorArray((0,)))
-    assert prof.differences == (0,)
+    assert coarray_lags(prof) == (0,)
     assert prof.hole_free
     assert prof.central_ula_halfwidth == 0
     assert prof.aperture == 0
@@ -105,7 +106,7 @@ def test_reversal():
     assert rev.elements == (0, 2, 3)
     assert reversed_array(rev).elements == arr.elements
     # reflection never changes the coarray
-    assert difference_coarray(rev).differences == difference_coarray(arr).differences
+    assert coarray_lags(difference_coarray(rev)) == coarray_lags(difference_coarray(arr))
     assert reversed_array(SensorArray((0, 1, 4, 6))).elements == (0, 2, 5, 6)
 
 
@@ -114,7 +115,7 @@ def test_reversal_preserves_coarray(seed):
     rng = np.random.default_rng(200 + seed)
     arr = SensorArray(random_elements(rng, 30))
     rev = reversed_array(arr)
-    assert difference_coarray(rev).differences == difference_coarray(arr).differences
+    assert coarray_lags(difference_coarray(rev)) == coarray_lags(difference_coarray(arr))
 
 
 def test_symmetry_predicate():
@@ -148,6 +149,15 @@ def test_rejects_bad_elements():
         SensorArray((0, 1.5))
     with pytest.raises(ArrayFormatError):
         SensorArray((0, "x"))
+
+
+def test_rejects_apertures_beyond_int64():
+    assert SensorArray((0, 2 ** 63 - 1)).as_array()[-1] == 2 ** 63 - 1
+    assert SensorArray((-(2 ** 62), 2 ** 62 - 1)).aperture == 2 ** 63 - 1
+    with pytest.raises(ArrayFormatError, match="64-bit"):
+        SensorArray((0, 2 ** 63))
+    with pytest.raises(ArrayFormatError, match="64-bit"):
+        SensorArray((-1, 2 ** 63 - 1))
 
 
 def test_accepts_integral_floats_and_numpy_ints():
@@ -218,4 +228,4 @@ def test_large_random_coarray_against_sets(seed):
     rng = np.random.default_rng(300 + seed)
     elems = tuple(sorted(set(map(int, rng.integers(0, 200, size=25)))))
     prof = difference_coarray(SensorArray(elems))
-    assert set(prof.differences) == oracle_differences(prof.array.elements)
+    assert set(coarray_lags(prof)) == oracle_differences(prof.array.elements)

@@ -4,14 +4,20 @@ import pytest
 from fracarray import (
     CouplingModel,
     SensorArray,
-    coupling_leakage,
     coupling_matrix,
     difference_coarray,
     expand,
     leakage_from_profile,
     verify_leakage_preservation,
 )
-from conftest import S_ELEMS, G_ELEMS, oracle_hole_free, oracle_leakage, random_elements
+from conftest import (
+    S_ELEMS,
+    G_ELEMS,
+    matrix_leakage,
+    oracle_hole_free,
+    oracle_leakage,
+    random_elements,
+)
 
 
 def test_model_defaults():
@@ -81,13 +87,13 @@ def test_matrix_structure():
 def test_matrix_without_coupling_is_identity():
     C = coupling_matrix(SensorArray((0, 2, 5)), CouplingModel(c1_magnitude=0.0))
     assert np.allclose(C, np.eye(3))
-    assert coupling_leakage(coupling_matrix(SensorArray((0, 2, 5)), CouplingModel(c1_magnitude=0.0))) == 0.0
+    assert matrix_leakage(coupling_matrix(SensorArray((0, 2, 5)), CouplingModel(c1_magnitude=0.0))) == 0.0
 
 
 @pytest.mark.parametrize("elems,q", [((0, 1, 4, 6), 3), ((0, 1, 2, 6, 9), 5), (S_ELEMS, 15)])
 def test_leakage_matches_double_sum_oracle(elems, q):
     model = CouplingModel(q=q, c1_magnitude=0.3)
-    got = coupling_leakage(coupling_matrix(SensorArray(elems), model))
+    got = matrix_leakage(coupling_matrix(SensorArray(elems), model))
     assert got == pytest.approx(oracle_leakage(elems, q, 0.3), abs=1e-12)
 
 
@@ -96,7 +102,7 @@ def test_profile_route_equals_matrix_route(seed):
     rng = np.random.default_rng(seed)
     arr = SensorArray(random_elements(rng, 25))
     model = CouplingModel(q=int(rng.integers(0, 12)), c1_magnitude=float(rng.uniform(0, 0.9)))
-    via_matrix = coupling_leakage(coupling_matrix(arr, model))
+    via_matrix = matrix_leakage(coupling_matrix(arr, model))
     via_profile = leakage_from_profile(difference_coarray(arr), model)
     assert via_profile == pytest.approx(via_matrix, abs=1e-12)
     assert 0.0 <= via_profile <= 1.0
@@ -104,8 +110,8 @@ def test_profile_route_equals_matrix_route(seed):
 
 def test_leakage_ignores_phases():
     arr = SensorArray(S_ELEMS)
-    fixed = coupling_leakage(coupling_matrix(arr, CouplingModel()))
-    rand = coupling_leakage(
+    fixed = matrix_leakage(coupling_matrix(arr, CouplingModel()))
+    rand = matrix_leakage(
         coupling_matrix(arr, CouplingModel(phase_mode="random", seed=3))
     )
     assert fixed == pytest.approx(rand, abs=1e-12)
