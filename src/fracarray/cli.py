@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -84,25 +85,15 @@ def _emit_array(array, args, argv):
     return 0
 
 
-def _add_coupling_flags(sub, default_phases, default_mag=0.3):
+def _add_coupling_flags(sub, default_mag=0.3):
     sub.add_argument("--coupling-q", type=int, default=15, metavar="Q",
                      help="coupling limit: separations above Q do not couple")
     sub.add_argument("--coupling-c1-mag", type=float, default=default_mag, metavar="MAG",
                      help="magnitude of the unit-separation coefficient")
-    sub.add_argument("--coupling-c1-phase", type=float, default=math.pi / 3, metavar="RAD",
-                     help="phase of the unit-separation coefficient (fixed mode)")
-    sub.add_argument("--coupling-phases", choices=("fixed", "random"), default=default_phases,
-                     help="fixed phase progression or uniform random phases")
 
 
-def _coupling_from_args(args, magnitude=None):
-    return CouplingModel(
-        q=args.coupling_q,
-        c1_magnitude=args.coupling_c1_mag if magnitude is None else magnitude,
-        c1_phase=args.coupling_c1_phase,
-        phase_mode=args.coupling_phases,
-        seed=getattr(args, "seed", None),
-    )
+def _coupling_from_args(args):
+    return CouplingModel(q=args.coupling_q, c1_magnitude=args.coupling_c1_mag)
 
 
 def _parse_baseline_token(token):
@@ -128,7 +119,9 @@ def _parse_grid(text):
         # the tolerance keeps a stop a whole number of steps away, such as
         # 1 in 0:1:0.1, in the grid despite rounding in the division
         n = math.floor((b - a) / step + 1e-9) + 1
-        return [a + i * step for i in range(n)]
+        # each point is the decimal the CSV prints ({:.12g}), so 0:0.3:0.1
+        # seeds its trials as 0,0.1,0.2,0.3 does
+        return [float(f"{a + i * step:.12g}") for i in range(n)]
     return [float(p) for p in text.split(",") if p != ""]
 
 
@@ -309,7 +302,8 @@ def _cmd_simulate(args, argv):
             "snr": "snr_db"}[args.sweep]
     coupling = None
     if axis == "coupling_c1_mag" or args.coupling_c1_mag > 0:
-        coupling = _coupling_from_args(args)
+        coupling = replace(_coupling_from_args(args), c1_phase=args.coupling_c1_phase,
+                           phase_mode=args.coupling_phases)
     base = Scenario(
         array=array,
         thetas=thetas,
@@ -448,8 +442,7 @@ def _build_parser():
     p.add_argument("--max-leakage", type=float, default=1 / 3)
     p.add_argument("--exact-aperture", action=argparse.BooleanOptionalAction, default=True,
                    help="candidates span exactly max-aperture; --no-exact-aperture admits shorter arrays")
-    _add_coupling_flags(p, "fixed")
-    p.add_argument("--seed", type=int, default=0, help="seed for random coupling phases")
+    _add_coupling_flags(p)
     p.add_argument("--all-solutions", action="store_true")
     p.add_argument("--force", action="store_true", help="allow apertures beyond the guard")
     p.add_argument("--json", metavar="PATH")
@@ -470,7 +463,13 @@ def _build_parser():
     # default: $FRACARRAY_THREADS or 1, read when the command runs
     p.add_argument("--threads", type=int)
     # coupling stays off in snr/failure sweeps unless a magnitude is given
-    _add_coupling_flags(p, "random", default_mag=0.0)
+    _add_coupling_flags(p, default_mag=0.0)
+    # only simulate draws coupling matrices: leakage, all that search and
+    # compare read, cancels the phases
+    p.add_argument("--coupling-c1-phase", type=float, default=math.pi / 3, metavar="RAD",
+                   help="phase of the unit-separation coefficient (fixed mode)")
+    p.add_argument("--coupling-phases", choices=("fixed", "random"), default="random",
+                   help="fixed phase progression or uniform random phases")
     p.add_argument("--out", metavar="PATH", help="write sweep CSV here instead of stdout")
     p.add_argument("--dump-trials", metavar="PATH", help="write per-trial JSONL here")
     p.set_defaults(func=_cmd_simulate)
@@ -481,8 +480,7 @@ def _build_parser():
                    help="baseline specs like nested:4,4; repeat the flag or separate with ;")
     p.add_argument("--metrics", default="n,fragility,leakage",
                    help=f"comma list from {','.join(_COMPARE_METRICS)}")
-    _add_coupling_flags(p, "fixed")
-    p.add_argument("--seed", type=int, default=0)
+    _add_coupling_flags(p)
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--csv", metavar="PATH")
     p.set_defaults(func=_cmd_compare)

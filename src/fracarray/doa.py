@@ -139,14 +139,13 @@ def coarray_statistics(x, array):
     if x.shape[0] != pos.size:
         raise ValueError("snapshot rows must match the array size")
     R = (x @ x.conj().T) / x.shape[1]
-    m = difference_coarray(array).central_ula_halfwidth
+    prof = difference_coarray(array)
+    m = prof.central_ula_halfwidth
     lag = pos[:, None] - pos[None, :]
     sel = np.abs(lag) <= m
     acc = np.zeros(2 * m + 1, dtype=complex)
-    cnt = np.zeros(2 * m + 1, dtype=np.int64)
     np.add.at(acc, lag[sel] + m, R[sel])
-    np.add.at(cnt, lag[sel] + m, 1)
-    return acc / cnt
+    return acc / prof.counts[np.abs(np.arange(-m, m + 1))]
 
 
 def _local_maxima(y):

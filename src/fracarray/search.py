@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import economy
 from .core import SensorArray, difference_coarray, is_symmetric
-from .coupling import CouplingModel, leakage_from_profile
+from .coupling import CouplingModel, leakage_from_counts, leakage_from_profile
 
 # unconstrained A=28 takes about 2 s on a 2-core VM, A=29 about 6-8 s
 APERTURE_GUARD = 28
@@ -185,13 +185,12 @@ def _candidate_blocks(span, k, symmetric):
             yield masks
 
 
-def _leakage(masks, span, k, coupling_sq):
-    # one add per lag in ascending order: the float sum of a scalar loop
-    # over the lags, so accept/reject decisions do not depend on blocking
-    off = np.zeros(masks.size)
-    for d in range(1, min(span, len(coupling_sq)) + 1):
-        off += 2.0 * np.bitwise_count(masks & (masks >> d)) * coupling_sq[d - 1]
-    return np.sqrt(off / (k + off))
+def _lag_pairs(masks, lags):
+    """(masks x lags) uint8 pair counts at lags 1..lags, one column per lag."""
+    pairs = np.empty((masks.size, lags), dtype=np.uint8)
+    for d in range(1, lags + 1):
+        pairs[:, d - 1] = np.bitwise_count(masks & (masks >> d))
+    return pairs
 
 
 def _essential_counts(masks, span, k):
@@ -212,24 +211,16 @@ def _elements(mask, span):
     return tuple(e for e in range(span + 1) if mask >> e & 1)
 
 
-def _feasible(masks, span, k, cons, coupling_sq):
+def _feasible(masks, span, k, cons):
     """The masks of one block that pass every rule, cheapest rule first."""
     if cons.require_hole_free:
         # every lag has a pair; the longest (rarest) lags go first so the
         # block shrinks early, and lag span is the pair (0, span)
         for d in range(span - 1, 0, -1):
             masks = masks[(masks & (masks >> d)) != 0]
-    leak = _leakage(masks, span, k, coupling_sq)
-    keep = leak <= cons.max_leakage
-    # the lag-by-lag sum and check_constraints' pairwise one (at most 63
-    # positive terms each) differ by under 64 ulps, so a candidate that
-    # close to the cap is decided by the library's value
-    tol = 64 * np.spacing(cons.max_leakage)
-    near = (leak >= cons.max_leakage - tol) & (leak <= cons.max_leakage + tol)
-    for i in np.flatnonzero(near):
-        prof = difference_coarray(SensorArray(_elements(int(masks[i]), span)))
-        keep[i] = leakage_from_profile(prof, cons.coupling) <= cons.max_leakage
-    masks = masks[keep]
+    # the leakage formula check_constraints uses, on the coupled lags
+    pairs = _lag_pairs(masks, min(cons.coupling.q, span))
+    masks = masks[leakage_from_counts(pairs, k, cons.coupling.c1_magnitude) <= cons.max_leakage]
     # fragility ess / k <= num / den, compared as exact integers
     f = cons.max_fragility
     return masks[_essential_counts(masks, span, k) <= f.numerator * k // f.denominator]
@@ -254,7 +245,6 @@ def _count_candidates(span, k, symmetric):
 def _solve_pruned(cons):
     A = cons.max_aperture
     spans = [A] if cons.exact_aperture else list(range(A + 1))
-    cq = [(cons.coupling.c1_magnitude / d) ** 2 for d in range(1, cons.coupling.q + 1)]
     explored = pruned = 0
     for k in range(1, A + 2):
         found = []
@@ -265,7 +255,7 @@ def _solve_pruned(cons):
                 continue
             for masks in _candidate_blocks(span, k, cons.require_symmetric):
                 explored += masks.size
-                for mask in _feasible(masks, span, k, cons, cq).tolist():
+                for mask in _feasible(masks, span, k, cons).tolist():
                     found.append(_elements(mask, span))
         if found:
             return [SensorArray(e) for e in sorted(found)], k, explored, pruned

@@ -391,7 +391,17 @@ def test_simulate_source_choice_validation(capsys):
     ("0:0:1", [0]),
 ])
 def test_grid_points_stop_at_stop(text, want):
-    assert _parse_grid(text) == pytest.approx(want, abs=1e-12)
+    # each point is exactly the decimal the CSV prints
+    assert _parse_grid(text) == want
+
+
+def test_range_and_list_grids_run_the_same_trials(capsys):
+    base = ["simulate", "--baseline", "mra:5", "--sources", "3", "--sweep", "failure",
+            "--trials", "20", "--grid"]
+    assert main(base + ["0:0.3:0.1"]) == 0
+    ranged = capsys.readouterr().out
+    assert main(base + ["0,0.1,0.2,0.3"]) == 0
+    assert capsys.readouterr().out == ranged
 
 
 def test_simulate_failure_grid_within_range(capsys):
@@ -436,6 +446,22 @@ def test_compare_validation(capsys):
     assert main(["compare", "--baselines", "ula:5", "--metrics", "sparkle"]) == 2
     assert main(["compare", "--metrics", "n"]) == 2
     assert main(["compare", "--baselines", "ula-5"]) == 2
+
+
+@pytest.mark.parametrize("command", [["search", "--max-aperture", "6"],
+                                     ["compare", "--baselines", "ula:5"]])
+@pytest.mark.parametrize("flag", [["--coupling-phases", "random"],
+                                  ["--coupling-c1-phase", "1"], ["--seed", "3"]])
+def test_search_and_compare_take_no_phase_or_seed_flags(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_simulate_takes_phase_and_seed_flags(capsys):
+    assert main(SIM_BASE + ["--coupling-c1-mag", "0.2", "--coupling-phases", "random",
+                            "--coupling-c1-phase", "1", "--seed", "3"]) == 0
 
 
 def test_unknown_flag_exits_two():

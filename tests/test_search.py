@@ -17,7 +17,7 @@ from fracarray import (
     leakage_from_profile,
     solve_p1,
 )
-from fracarray import search
+from fracarray import coupling, search
 from conftest import S_ELEMS, G_ELEMS, oracle_essential, oracle_solve_p1
 
 
@@ -272,22 +272,36 @@ def test_mask_table_is_built_on_first_use():
 
 
 def test_kernel_leakage_decisions_match_check_constraints_at_the_cap():
-    # the kernel sums leakage lag by lag, check_constraints through numpy's
-    # pairwise sum; at a cap equal to the library value both must accept,
-    # one ulp below it both must reject
+    # the kernel and check_constraints share one leakage formula: at a cap
+    # equal to the library value both accept, one ulp below it both reject
     model = DesignConstraints(max_aperture=20).coupling
-    cq = [(model.c1_magnitude / d) ** 2 for d in range(1, model.q + 1)]
     first = np.array([sum(1 << e for e in (0, 1, 2, 3, 4, 5, 6, 7, 8, 20))], dtype=np.uint64)
     masks = np.concatenate([first, next(search._candidate_blocks(20, 10, False))[:200]])
-    sums_differ = 0
     for mask in masks:
         mask = mask.reshape(1)
         arr = SensorArray(search._elements(int(mask[0]), 20))
         lib = leakage_from_profile(difference_coarray(arr), model)
-        sums_differ += search._leakage(mask, 20, 10, cq)[0] != lib
         for cap, accept in ((lib, True), (np.nextafter(lib, 0), False)):
             cons = DesignConstraints(max_aperture=20, require_hole_free=False,
                                      max_fragility=1, max_leakage=float(cap))
             assert check_constraints(arr, cons).feasible is accept
-            assert search._feasible(mask, 20, 10, cons, cq).size == accept
-    assert sums_differ > 10  # the two sums really do part on this block
+            assert search._feasible(mask, 20, k=10, cons=cons).size == accept
+
+
+@pytest.mark.parametrize("span,k,q,c1", [
+    (20, 10, 15, 0.3),   # the default model, with (0, 1, ..., 8, 20)
+    (12, 6, 40, 0.5),    # coupling limit beyond the span
+    (63, 12, 30, 0.9),
+    (33, 9, 7, 0.1),
+    (7, 4, 0, 0.3),      # nothing couples
+])
+def test_kernel_leakage_equals_leakage_from_profile_bit_for_bit(span, k, q, c1):
+    model = CouplingModel(q=q, c1_magnitude=c1)
+    rng = np.random.default_rng(span * 1000 + k)
+    inner = [rng.choice(np.arange(1, span), size=k - 2, replace=False) for _ in range(1500)]
+    masks = np.array([sum(1 << int(e) for e in (0, span, *row)) for row in inner]
+                     + [sum(1 << e for e in (*range(k - 1), span))], dtype=np.uint64)
+    kernel = coupling.leakage_from_counts(search._lag_pairs(masks, min(q, span)), k, c1)
+    lib = [leakage_from_profile(difference_coarray(SensorArray(search._elements(m, span))), model)
+           for m in masks.tolist()]
+    assert kernel.tolist() == lib
