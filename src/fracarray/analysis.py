@@ -72,31 +72,78 @@ def _weight_dtft(w, om):
     return w[0] + 2.0 * sums
 
 
+def _grid_period(om):
+    """L when om equals np.linspace(-pi, pi, S) exactly, with L = max(S - 1, 1):
+    the grid omega_k = -pi + 2 pi k / L that analyze --beampattern samples.
+    None for any other frequencies."""
+    if om.ndim != 1 or not np.array_equal(om, np.linspace(-np.pi, np.pi, om.size)):
+        return None
+    return max(om.size - 1, 1)
+
+
+def _grid_dtft(w, L):
+    """w[0] + 2 sum_d w[d] cos(omega_j d) at omega_j = -pi + 2 pi j / L for
+    j = 0..L-1, through one real FFT of length L.
+
+    exp(-j omega_j d) = (-1)^d exp(-2j pi j d / L), so lag d goes to bin
+    d mod L with sign (-1)^d; lags that alias to one bin add, exactly, as
+    integer-valued floats. Bins j and L - j mirror, so the result is even.
+    """
+    lags = np.arange(1, w.size)
+    signed = np.where(lags % 2, -1.0, 1.0) * w[1:]
+    b = np.bincount(lags % L, weights=signed, minlength=L)
+    half = np.fft.rfft(b).real
+    j = np.arange(L)
+    return w[0] + 2.0 * half[np.minimum(j, L - j)]
+
+
 def beampattern(array, omegas):
     """Beampattern sum_m w(m) exp(-j w m) at the given angular frequencies
     (radians per unit spacing).
 
     array is a SensorArray, or its CoarrayProfile when the coarray is
     already built; the profile is then reused instead of recomputed.
+
+    On the grid np.linspace(-pi, pi, S) that analyze --beampattern samples,
+    one FFT of the weight map gives every sample in O(A + S log S) for
+    aperture A; the last sample repeats the first. Any other frequencies
+    take the direct cosine sum, O(S * A).
     """
     prof = array if isinstance(array, CoarrayProfile) else difference_coarray(array)
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    return Beampattern(om, _weight_dtft(prof.counts, om), source=prof.array.name)
+    L = _grid_period(om)
+    if L is None:
+        values = _weight_dtft(prof.counts, om)
+    else:
+        values = _grid_dtft(prof.counts, L)[np.arange(om.size) % L]
+    return Beampattern(om, values, source=prof.array.name)
 
 
 def product_beampattern(generator, r, omegas):
     """Beampattern of the order-r expansion evaluated as a product of
     generator beampatterns at frequencies scaled by powers of the
     central-ULA size. Equals the direct transform of the expanded array
-    under the same no-collision proviso as fractal_weight."""
+    under the same no-collision proviso as fractal_weight.
+
+    On the np.linspace(-pi, pi, S) grid, factor i at sample k is the
+    generator's grid value at index k * M^i mod L: M is odd, so the -pi
+    offset keeps its (-1)^d sign under the stretch. One FFT of the
+    generator serves every order."""
     if r < 0:
         raise ValueError("order must be non-negative")
     prof = difference_coarray(generator)
     M = prof.ula_size
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     vals = np.ones_like(om)
-    for i in range(r):
-        vals = vals * _weight_dtft(prof.counts, om * M ** i)
+    L = _grid_period(om)
+    if L is None:
+        for i in range(r):
+            vals = vals * _weight_dtft(prof.counts, om * M ** i)
+    else:
+        gen = _grid_dtft(prof.counts, L)
+        k = np.arange(om.size) % L
+        for i in range(r):
+            vals = vals * gen[k * pow(M, i, L) % L]
     return Beampattern(om, vals, source=generator.name)
 
 

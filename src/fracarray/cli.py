@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -53,6 +54,11 @@ def _write_manifest(out_path, argv, args):
         "config": _config_of(args),
         "seed": getattr(args, "seed", None),
         "created": datetime.now(timezone.utc).isoformat(),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        },
         "outputs": [{
             "path": os.path.basename(str(out_path)),
             "sha256": _sha256(out_path),
@@ -295,6 +301,12 @@ def _cmd_simulate(args, argv):
         raise ArrayFormatError(f"thread count must be at least 1, got {args.threads}")
     if bool(args.array) == bool(args.baseline):
         raise ArrayFormatError("give exactly one of --array or --baseline")
+    if args.coupling_phases == "random" and args.coupling_c1_phase is not None:
+        raise ArrayFormatError("--coupling-c1-phase needs --coupling-phases fixed; "
+                               "--coupling-phases random draws every phase")
+    # the manifest config records the phase the fixed mode would use
+    if args.coupling_c1_phase is None:
+        args.coupling_c1_phase = math.pi / 3
     array = load_array(args.array) if args.array else _parse_baseline_token(args.baseline)
     lo, hi = _parse_range(args.range)
     thetas = equally_spaced_thetas(args.sources, lo, hi)
@@ -466,8 +478,9 @@ def _build_parser():
     _add_coupling_flags(p, default_mag=0.0)
     # only simulate draws coupling matrices: leakage, all that search and
     # compare read, cancels the phases
-    p.add_argument("--coupling-c1-phase", type=float, default=math.pi / 3, metavar="RAD",
-                   help="phase of the unit-separation coefficient (fixed mode)")
+    p.add_argument("--coupling-c1-phase", type=float, metavar="RAD",
+                   help="phase of the unit-separation coefficient; fixed mode only "
+                        "(default pi/3)")
     p.add_argument("--coupling-phases", choices=("fixed", "random"), default="random",
                    help="fixed phase progression or uniform random phases")
     p.add_argument("--out", metavar="PATH", help="write sweep CSV here instead of stdout")

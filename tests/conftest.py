@@ -156,6 +156,22 @@ def oracle_music_denominator(noise, grid_size):
     return (np.abs(noise.conj().T @ steer) ** 2).sum(axis=0)
 
 
+def oracle_grid_beampattern(counts, S):
+    """Beampattern of a non-negative weight map on np.linspace(-pi, pi, S),
+    taken as the exact grid omega_k = pi (2k - L) / L with L = max(S - 1, 1).
+
+    Each phase omega_k d is pi p / L with p = d (2k - L) mod 2L reduced in
+    integers, so lags are first folded mod 2L in int64 and every row is a
+    math.fsum of at most 2L terms."""
+    L = max(S - 1, 1)
+    folded = np.zeros(2 * L, dtype=np.int64)
+    np.add.at(folded, np.arange(1, counts.size) % (2 * L), counts[1:])
+    q = np.arange(2 * L)
+    cosines = np.cos(np.pi * q / L)
+    return np.array([int(counts[0]) + 2 * math.fsum(folded * cosines[q * (2 * k - L) % (2 * L)])
+                     for k in range(S)])
+
+
 def oracle_expand(gen_elems, half_u, r):
     """Fractal expansion via the unrolled digit sum with base 2*half_u + 1."""
     base = 2 * half_u + 1

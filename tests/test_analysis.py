@@ -24,6 +24,7 @@ from conftest import (
     oracle_economy,
     oracle_essential,
     oracle_fractal_weight,
+    oracle_grid_beampattern,
     oracle_hole_free,
     oracle_weight_map,
     random_elements,
@@ -148,14 +149,85 @@ def test_beampattern_matches_direct_exponential_sum():
 def test_beampattern_chunks_sum_each_row_like_a_lone_omega():
     # aperture 14,280 fits 280 omega rows in one chunk of the cosine table,
     # so 600 samples span three chunks; every row must come out bit-equal
-    # to a transform of that omega alone
+    # to a transform of that omega alone. The samples stay off the
+    # linspace(-pi, pi, S) grid, which takes the FFT route instead.
     arr = expand(SensorArray((0, 1, 4, 6)), 4)
-    om = np.linspace(-np.pi, np.pi, 600)
+    om = np.linspace(-3, 3, 600)
     w = difference_coarray(arr).counts
     lags = np.arange(1, w.size)
     wf = w[1:].astype(float)
     oracle = np.array([w[0] + 2.0 * (wf * np.cos(o * lags)).sum() for o in om])
     assert np.array_equal(beampattern(arr, om).values, oracle)
+
+
+def _cosine_sum(w, om):
+    # the direct cosine sum as one dense samples x lags table
+    lags = np.arange(1, w.size)
+    return w[0] + 2.0 * (w[1:].astype(float)[None, :] * np.cos(np.outer(om, lags))).sum(axis=1)
+
+
+@pytest.mark.parametrize("om", [
+    np.linspace(-np.pi, np.pi, 256, endpoint=False),
+    np.linspace(-np.pi, np.pi, 101)[:-1],
+    np.random.default_rng(3).uniform(-np.pi, np.pi, 77),
+    np.linspace(-np.pi, np.pi, 101) * (1 + 1e-15),
+], ids=["endpoint-false", "grid-prefix", "random", "nudged-grid"])
+def test_off_grid_beampattern_is_the_cosine_sum_bit_for_bit(om):
+    for arr in (SensorArray(S_ELEMS), expand(SensorArray((0, 1, 4, 6)), 3)):
+        w = difference_coarray(arr).counts
+        assert beampattern(arr, om).values.tobytes() == _cosine_sum(w, om).tobytes()
+
+
+_GRID_ARRAYS = {"S": SensorArray(S_ELEMS)}
+_GRID_ARRAYS.update((f"g^{r}", expand(SensorArray((0, 1, 4, 6)), r)) for r in range(1, 6))
+
+
+@pytest.fixture(scope="module")
+def grid_profiles():
+    return {key: difference_coarray(arr) for key, arr in _GRID_ARRAYS.items()}
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 14, 101, 1024])
+@pytest.mark.parametrize("key", list(_GRID_ARRAYS))
+def test_grid_beampattern_matches_exact_phase_oracle(grid_profiles, key, samples):
+    # lags -A..A alias when L < 2A + 1: on every array at 3 samples, on all
+    # but g^1 (L = 13 = 2A + 1 exactly) at 14, from g^2 on at 101 and from
+    # g^3 on at 1024
+    prof = grid_profiles[key]
+    om = np.linspace(-np.pi, np.pi, samples)
+    bp = beampattern(prof, om)
+    n2 = len(prof.array) ** 2
+    assert np.array_equal(bp.omegas, om)
+    assert bp.values.shape == (samples,)
+    oracle = oracle_grid_beampattern(prof.counts, samples)
+    assert np.max(np.abs(bp.values - oracle)) <= 1e-14 * n2
+    assert bp.values[-1] == bp.values[0]
+    assert np.array_equal(bp.values, bp.values[::-1])
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 101, 1024])
+def test_grid_product_beampattern_matches_expanded_direct(grid_profiles, samples):
+    gen = SensorArray((0, 1, 4, 6))
+    om = np.linspace(-np.pi, np.pi, samples)
+    for r in range(6):
+        prod = product_beampattern(gen, r, om)
+        direct = beampattern(grid_profiles[f"g^{r}"] if r else SensorArray((0,)), om)
+        assert np.max(np.abs(prod.values - direct.values)) <= 1e-14 * 16 ** r
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_product_beampattern_on_random_generators(seed):
+    rng = np.random.default_rng(70 + seed)
+    while True:
+        gen = SensorArray(random_elements(rng, 9))
+        if oracle_collision_free(gen.elements, 3):
+            break
+    for samples in (2, 64, 257):
+        om = np.linspace(-np.pi, np.pi, samples)
+        for r in (1, 2, 3):
+            prod = product_beampattern(gen, r, om).values
+            direct = beampattern(expand(gen, r), om).values
+            assert np.max(np.abs(prod - direct)) <= 1e-13 * len(gen) ** (2 * r)
 
 
 def test_beampattern_of_profile_equals_beampattern_of_array():

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import platform
 import re
 
+import numpy as np
 import pytest
 
 from fracarray import (
@@ -11,6 +13,7 @@ from fracarray import (
     difference_coarray,
     economy,
     expand,
+    product_beampattern,
     solve_p1,
 )
 from fracarray.cli import _parse_grid, main
@@ -54,6 +57,9 @@ def test_cantor_out_file_with_manifest(tmp_path, capsys):
     assert manifest["command"][:2] == ["fracarray", "cantor"]
     assert manifest["outputs"][0]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
     assert manifest["outputs"][0]["bytes"] == out.stat().st_size
+    assert manifest["environment"] == {"python": platform.python_version(),
+                                       "numpy": np.__version__,
+                                       "platform": platform.platform()}
 
 
 def test_analyze_report(tmp_path, capsys):
@@ -83,6 +89,21 @@ def test_analyze_beampattern_csv(tmp_path):
     omega_mid, value_mid = lines[51].split(",")
     assert float(omega_mid) == pytest.approx(0.0, abs=1e-12)
     assert float(value_mid) == pytest.approx(1.0)  # normalized DC
+
+
+def test_analyze_beampattern_of_order_five_matches_the_product(tmp_path):
+    # aperture 185,646: one FFT of the weight map serves all 1024 samples
+    gen = SensorArray((0, 1, 4, 6))
+    src = _write(tmp_path / "g5.json", expand(gen, 5).elements)
+    csv = tmp_path / "bp.csv"
+    assert main(["analyze", src, "--beampattern", str(csv), "--samples", "1024"]) == 0
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    om = np.linspace(-np.pi, np.pi, 1024)
+    assert rows.shape == (1024, 2)
+    assert np.array_equal(rows[:, 0], [float(f"{o:.12g}") for o in om])
+    want = product_beampattern(gen, 5, om).values
+    # the CSV keeps 12 significant digits of values up to N^2 = 4**10
+    assert np.max(np.abs(rows[:, 1] - want)) <= 1e-11 * 4 ** 10
 
 
 @pytest.mark.parametrize("samples", ("0", "-1"))
@@ -460,8 +481,31 @@ def test_search_and_compare_take_no_phase_or_seed_flags(command, flag, capsys):
 
 
 def test_simulate_takes_phase_and_seed_flags(capsys):
-    assert main(SIM_BASE + ["--coupling-c1-mag", "0.2", "--coupling-phases", "random",
+    assert main(SIM_BASE + ["--coupling-c1-mag", "0.2", "--coupling-phases", "fixed",
                             "--coupling-c1-phase", "1", "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("phases", [[], ["--coupling-phases", "random"]])
+def test_simulate_rejects_a_phase_with_random_phases(phases, tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert main(SIM_BASE + ["--coupling-c1-mag", "0.2", "--coupling-c1-phase", "1",
+                            "--out", str(out)] + phases) == 2
+    err = capsys.readouterr().err
+    assert "--coupling-c1-phase" in err and "--coupling-phases" in err
+    assert not out.exists()
+
+
+def test_simulate_fixed_phase_defaults_to_pi_over_three(tmp_path):
+    common = ["simulate", "--baseline", "mra:4", "--sources", "2", "--snapshots", "100",
+              "--trials", "3", "--grid-size", "1024", "--sweep", "coupling", "--grid", "0.3",
+              "--coupling-phases", "fixed"]
+    csv = {}
+    for key, phase in (("default", []), ("pi/3", ["--coupling-c1-phase", repr(np.pi / 3)]),
+                       ("1", ["--coupling-c1-phase", "1"])):
+        csv[key] = tmp_path / f"{len(csv)}.csv"
+        assert main(common + phase + ["--out", str(csv[key])]) == 0
+    assert csv["default"].read_bytes() == csv["pi/3"].read_bytes()
+    assert csv["default"].read_bytes() != csv["1"].read_bytes()
 
 
 def test_unknown_flag_exits_two():
