@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracarray import EconomyReport, SensorArray, check_constraints
+from fracarray import (EconomyReport, EstimationFailure, IdentifiabilityError, SensorArray,
+                       check_constraints, coupling_matrix, difference_coarray)
 
 # reference designs used across the suite
 S_ELEMS = (0, 1, 2, 4, 7, 10, 13, 16, 18, 19, 20)
@@ -145,6 +146,94 @@ def oracle_solve_p1(cons):
         if found:
             return k, found
     return 0, ()
+
+
+def oracle_noise_subspace(virtual, num_sources):
+    """The m + 1 - num_sources noise eigenvectors, as columns, from a complex
+    eigh of the smoothed covariance Z Z^H / (m + 1) built from every lag of
+    the virtual measurement."""
+    v = np.asarray(virtual)
+    m = (v.size - 1) // 2
+    if m + 1 <= num_sources:
+        raise IdentifiabilityError(
+            f"smoothed subarray of {m + 1} cannot separate {num_sources} sources")
+    idx = np.arange(m + 1)
+    Z = v[m + idx[:, None] - idx[None, :]]
+    R = (Z @ Z.conj().T) / (m + 1)
+    _, vecs = np.linalg.eigh(R)
+    return vecs[:, : m + 1 - num_sources]
+
+
+def oracle_noise_denominator(noise, grid_size):
+    """MUSIC denominator from the noise projector P = U U^H: its diagonal
+    sums c_d = sum_l P[l, l + d], each signed (-1)^d into bin d mod
+    grid_size, and one complex inverse DFT."""
+    n = noise.shape[0]
+    P = noise @ noise.conj().T
+    # row l moved right by n - 1 - l, so column d + n - 1 collects P[l, l + d]
+    shifted = np.zeros(n * (2 * n - 1), dtype=complex)
+    shifted[(np.arange(n) * (2 * n - 2) + n - 1)[:, None] + np.arange(n)] = P
+    c = shifted.reshape(n, 2 * n - 1).sum(axis=0)
+    d = np.arange(1 - n, n)
+    b = np.zeros(grid_size, dtype=complex)
+    np.add.at(b, d % grid_size, np.where(d % 2, -c, c))
+    return np.fft.ifft(b, norm="forward").real
+
+
+def centro_unitary(n):
+    """The dense n x n unitary Q that makes Q^H Z Q real for every Hermitian
+    Toeplitz Z: columns (e_k + e_{n-1-k}) / sqrt(2) for k < n // 2, then
+    e_{n // 2} when n is odd, then j (e_k - e_{n-1-k}) / sqrt(2)."""
+    p = n // 2
+    Q = np.zeros((n, n), dtype=complex)
+    for k in range(p):
+        Q[k, k] = Q[n - 1 - k, k] = 1 / math.sqrt(2)
+        Q[k, n - p + k] = 1j / math.sqrt(2)
+        Q[n - 1 - k, n - p + k] = -1j / math.sqrt(2)
+    if n % 2:
+        Q[p, p] = 1.0
+    return Q
+
+
+def oracle_synthesize(scenario, rng):
+    """synthesize with its complex normals drawn as two separate real
+    blocks and the noise added out of place."""
+    pos = scenario.array.as_array()
+    if scenario.failure_probability > 0:
+        alive = rng.random(pos.size) >= scenario.failure_probability
+        if not alive.any():
+            raise EstimationFailure("all sensors failed")
+        pos = pos[alive]
+    surviving = SensorArray(tuple(int(e) for e in pos))
+    C = None
+    if scenario.coupling is not None:
+        C = coupling_matrix(surviving, scenario.coupling, rng)
+    th = np.asarray(scenario.thetas)
+    steer = np.exp(2j * np.pi * np.outer(pos, th))
+    amp = np.sqrt(np.asarray(scenario.powers) / 2.0)
+    shape = (th.size, scenario.snapshots)
+    s = amp[:, None] * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    x = steer @ s
+    if C is not None:
+        x = C @ x
+    pw = scenario.noise_power
+    if pw > 0:
+        nshape = (pos.size, scenario.snapshots)
+        x = x + math.sqrt(pw / 2.0) * (rng.standard_normal(nshape) + 1j * rng.standard_normal(nshape))
+    return surviving, x
+
+
+def oracle_coarray_statistics(x, array):
+    """coarray_statistics with the lags accumulated by np.add.at."""
+    pos = array.as_array()
+    R = (x @ x.conj().T) / x.shape[1]
+    prof = difference_coarray(array)
+    m = prof.central_ula_halfwidth
+    lag = pos[:, None] - pos[None, :]
+    sel = np.abs(lag) <= m
+    acc = np.zeros(2 * m + 1, dtype=complex)
+    np.add.at(acc, lag[sel] + m, R[sel])
+    return acc / prof.counts[np.abs(np.arange(-m, m + 1))]
 
 
 def oracle_music_denominator(noise, grid_size):

@@ -10,6 +10,7 @@ from fracarray import (
     leakage_from_profile,
     verify_leakage_preservation,
 )
+from fracarray.coupling import _near_lag_counts
 from conftest import (
     S_ELEMS,
     G_ELEMS,
@@ -185,3 +186,30 @@ def test_preservation_for_nested_generator():
     rep = verify_leakage_preservation(gen, CouplingModel(q=15), 2)
     assert rep.hypotheses_hold  # q=15 < 19 and 15+19 < 39
     assert rep.preserved is True
+
+
+def test_near_lag_counts_equal_the_full_coarray():
+    # single sensors, q = 0, q below, at and beyond the aperture
+    rng = np.random.default_rng(41)
+    arrays = [(0,), S_ELEMS, G_ELEMS] + [random_elements(rng, 40) for _ in range(200)]
+    for elems in arrays:
+        prof = difference_coarray(SensorArray(elems))
+        pos = SensorArray(elems).as_array()
+        for q in {0, 1, 3, prof.aperture, prof.aperture + 5, int(rng.integers(0, 50))}:
+            got = _near_lag_counts(pos, q)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, prof.counts[1:min(q, prof.aperture) + 1])
+
+
+def test_preservation_report_equals_the_full_coarray_route():
+    # the expanded leakage is bit for bit leakage_from_profile of the
+    # expanded array's whole coarray, whether or not the hypotheses hold
+    rng = np.random.default_rng(42)
+    cases = [((0,), 3, 3), ((0, 1), 2, 4), ((0, 1, 4, 6), 5, 4)]
+    cases += [(random_elements(rng, 12), int(rng.integers(0, 30)), int(rng.integers(1, 4)))
+              for _ in range(60)]
+    for elems, q, r in cases:
+        model = CouplingModel(q=q, c1_magnitude=float(rng.uniform(0, 0.9)))
+        rep = verify_leakage_preservation(SensorArray(elems), model, r)
+        want = leakage_from_profile(difference_coarray(expand(SensorArray(elems), r)), model)
+        assert rep.expanded_leakage == want

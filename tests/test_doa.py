@@ -22,8 +22,16 @@ from fracarray import (
     synthesize,
     trial_seed,
 )
-from fracarray.doa import _music_denominator, _noise_subspace, _peak_directions
-from conftest import S_ELEMS, oracle_music_denominator
+from fracarray.doa import _music_denominator, _peak_directions, _real_form, _signal_subspace
+from conftest import (
+    S_ELEMS,
+    centro_unitary,
+    oracle_coarray_statistics,
+    oracle_music_denominator,
+    oracle_noise_denominator,
+    oracle_noise_subspace,
+    oracle_synthesize,
+)
 
 
 def _faults_scenario(**kw):
@@ -129,6 +137,30 @@ def test_synthesize_zero_coupling_matches_no_coupling():
     assert np.allclose(a, b)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(snr_db=math.inf),
+    dict(failure_probability=0.2),
+    dict(coupling=CouplingModel(phase_mode="random")),
+    dict(coupling=CouplingModel(), snr_db=-10.0, failure_probability=0.1),
+    dict(coupling=CouplingModel(phase_mode="random"), snr_db=math.inf, failure_probability=0.3),
+])
+def test_synthesis_and_statistics_equal_the_two_draw_add_at_formulas(kw):
+    # with and without failures, coupling and noise: the same surviving
+    # arrays, snapshots and lag averages, and the same stream left behind
+    sc = _scenario(array=expand(SensorArray((0, 1, 4, 6)), 2),
+                   thetas=equally_spaced_thetas(10), snapshots=300, **kw)
+    for seed in range(12):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        surviving, x = synthesize(sc, rng)
+        want_surviving, want_x = oracle_synthesize(sc, oracle_rng)
+        assert surviving == want_surviving
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(coarray_statistics(x, surviving),
+                              oracle_coarray_statistics(x, surviving))
+        assert rng.random() == oracle_rng.random()
+
+
 def test_coarray_statistics_matches_per_lag_average():
     arr = SensorArray((0, 1, 4, 6))
     rng = np.random.default_rng(3)
@@ -218,7 +250,9 @@ def test_music_identifiability_limit():
 
 @pytest.mark.parametrize("grid_size", [4096, 4095, 64, 101])
 def test_music_denominator_matches_steering_product(grid_size):
-    # even and odd grids; 64 and 101 are below 2m + 1, so lags alias
+    # even and odd grids; 64 and 101 are below 2m + 1, so lags alias. The
+    # library takes the signal vectors of the real form, the oracles the
+    # noise vectors of the complex covariance.
     sc = _faults_scenario()
     virtuals = [_virtual(sc, trial_seed(0, 0.1, i)) for i in range(6)]
     virtuals.append(_virtual(replace(sc, failure_probability=0.0), 1))
@@ -228,12 +262,21 @@ def test_music_denominator_matches_steering_product(grid_size):
         m = (v.size - 1) // 2
         halfwidths.add(m)
         for k in (1, min(10, m)):
-            noise = _noise_subspace(v, k)
-            assert noise.shape == (m + 1, m + 1 - k)
-            err = np.abs(_music_denominator(noise, grid_size)
-                         - oracle_music_denominator(noise, grid_size)).max()
-            assert err <= 1e-12 * (m + 1 - k)
+            signal = _signal_subspace(v, k)
+            assert signal.shape == (m + 1, k)
+            noise = oracle_noise_subspace(v, k)
+            den = _music_denominator(signal, grid_size)
+            for oracle in (oracle_music_denominator, oracle_noise_denominator):
+                assert np.abs(den - oracle(noise, grid_size)).max() <= 1e-12 * (m + 1)
     assert len(halfwidths) > 2 and 2 * max(halfwidths) + 1 > 101
+
+
+def _outcome(estimate):
+    # the estimates, or the class of the failure that stopped them
+    try:
+        return estimate()
+    except (IdentifiabilityError, EstimationFailure) as exc:
+        return type(exc)
 
 
 def test_music_estimates_match_oracle_spectrum():
@@ -244,8 +287,10 @@ def test_music_estimates_match_oracle_spectrum():
     for i in range(20):
         v = _virtual(sc, trial_seed(0, 0.05, i))
         try:
-            noise = _noise_subspace(v, 10)
+            noise = oracle_noise_subspace(v, 10)
         except IdentifiabilityError:
+            with pytest.raises(IdentifiabilityError):
+                coarray_music(v, 10, sc.grid_size)
             continue
         compared += 1
         den = oracle_music_denominator(noise, sc.grid_size)
@@ -258,6 +303,63 @@ def test_music_estimates_match_oracle_spectrum():
             continue
         assert np.array_equal(coarray_music(v, 10, sc.grid_size), want)
     assert compared >= 15 and peaks_failed >= 1
+
+
+_SNRS = (math.inf, 40.0, 20.0, 0.0, -10.0)
+
+
+@pytest.mark.parametrize("order, sources, trials, snr_db",
+                         [(1, 3, 12, s) for s in _SNRS] + [(2, 10, 8, s) for s in _SNRS]
+                         + [(3, 100, 2, 0.0)])
+def test_music_estimates_match_oracle_at_orders_and_snrs(order, sources, trials, snr_db):
+    # faulty, coupled trials on (0,1,4,6)^order. At order 3 the first trial
+    # loses sensors and the second keeps all 64, the 100-source case of
+    # m = 1,098.
+    sc = _faults_scenario(array=expand(SensorArray((0, 1, 4, 6)), order),
+                          thetas=equally_spaced_thetas(sources), snr_db=snr_db,
+                          failure_probability={1: 0.1, 2: 0.05, 3: 0.01}[order])
+    halfwidths = []
+    successes = 0
+    for i in range(trials):
+        v = _virtual(sc, trial_seed(0, snr_db, i))
+        halfwidths.append((v.size - 1) // 2)
+        want = _outcome(lambda: _peak_directions(oracle_noise_denominator(
+            oracle_noise_subspace(v, sources), sc.grid_size), sources))
+        got = _outcome(lambda: coarray_music(v, sources, sc.grid_size))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert np.array_equal(got, want)
+            successes += 1
+    assert successes >= trials // 2
+    full = difference_coarray(sc.array).central_ula_halfwidth
+    assert max(halfwidths) == full and min(halfwidths) < full
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 85, 86])
+def test_real_form_is_the_unitary_transform_of_the_smoothing_matrix(n):
+    # z_0 real and z_{-d} = conj(z_d): Z is Hermitian Toeplitz, Q^H Z Q is real
+    rng = np.random.default_rng(n)
+    lags = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    lags[0] = lags[0].real
+    m = n - 1
+    v = np.concatenate([lags[:0:-1].conj(), lags])
+    idx = np.arange(n)
+    Z = v[m + idx[:, None] - idx[None, :]]
+    Q = centro_unitary(n)
+    assert np.allclose(Q.conj().T @ Q, np.eye(n), rtol=0, atol=1e-15)
+    dense = Q.conj().T @ Z @ Q
+    T = _real_form(lags)
+    assert np.array_equal(T, T.T)
+    assert np.abs(dense.imag).max() <= 1e-14 * n
+    assert np.abs(T - dense.real).max() <= 1e-14 * n
+    # the signal vectors span Z's eigenvectors of largest |eigenvalue|
+    vals, vecs = np.linalg.eigh(Z)
+    for k in range(1, n):
+        want = vecs[:, np.argsort(np.abs(vals))[n - k:]]
+        got = _signal_subspace(v, k)
+        assert np.allclose(got.conj().T @ got, np.eye(k), rtol=0, atol=1e-12)
+        assert np.allclose(got @ got.conj().T, want @ want.conj().T, rtol=0, atol=1e-10)
 
 
 def test_smoothed_covariance_is_positive_semidefinite():
