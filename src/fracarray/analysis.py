@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CoarrayProfile, difference_coarray, pair_blocks
+from .core import PAIR_BUDGET, CoarrayProfile, difference_coarray, pair_blocks
 
 
 def fractal_weight(generator, r):
@@ -66,7 +66,7 @@ def _weight_dtft(w, om):
     lags = np.arange(1, w.size)
     wf = np.asarray(w[1:], float)
     sums = np.empty(om.size)
-    step = max(1, 4_000_000 // max(lags.size, 1))
+    step = max(1, PAIR_BUDGET // max(lags.size, 1))
     for i in range(0, om.size, step):
         sums[i:i + step] = (wf[None, :] * np.cos(np.outer(om[i:i + step], lags))).sum(axis=1)
     return w[0] + 2.0 * sums

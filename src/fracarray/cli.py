@@ -22,19 +22,11 @@ import numpy as np
 from . import __version__
 from .analysis import beampattern, economy
 from .baselines import _BUILDERS, BaselineSpec, build_baseline
-from .core import ArrayFormatError, SensorArray, difference_coarray, dump_array, is_symmetric, load_array
+from .core import ArrayFormatError, SensorArray, difference_coarray, is_symmetric, load_array
 from .coupling import CouplingModel, leakage_from_profile
 from .doa import DEFAULT_GRID, Scenario, equally_spaced_thetas, run_sweep
 from .fractal import MAX_ORDER, cantor, expand
 from .search import DesignConstraints, solve_p1
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _config_of(args):
@@ -46,7 +38,12 @@ def _config_of(args):
     return cfg
 
 
-def _write_manifest(out_path, argv, args):
+def _write_output(path, text, argv, args):
+    """Write text to path as UTF-8, then the <path>.manifest.json sidecar,
+    whose digest and size are those of the same bytes."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
     manifest = {
         "tool": "fracarray",
         "version": __version__,
@@ -60,12 +57,12 @@ def _write_manifest(out_path, argv, args):
             "platform": platform.platform(),
         },
         "outputs": [{
-            "path": os.path.basename(str(out_path)),
-            "sha256": _sha256(out_path),
-            "bytes": os.path.getsize(out_path),
+            "path": os.path.basename(str(path)),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "bytes": len(data),
         }],
     }
-    with open(str(out_path) + ".manifest.json", "w") as fh:
+    with open(str(path) + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
 
@@ -78,15 +75,13 @@ def _summary_line(array):
 
 
 def _emit_array(array, args, argv):
-    doc = {"name": array.name, "elements": list(array.elements)}
-    if getattr(args, "out", None):
-        dump_array(array, args.out)
-        _write_manifest(args.out, argv, args)
+    text = json.dumps({"name": array.name, "elements": list(array.elements)}) + "\n"
+    if args.out:
+        _write_output(args.out, text, argv, args)
         print(_summary_line(array))
         print(f"wrote {args.out}")
     else:
-        json.dump(doc, sys.stdout)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
         print(_summary_line(array), file=sys.stderr)
     return 0
 
@@ -114,17 +109,26 @@ def _parse_baseline_token(token):
     return build_baseline(BaselineSpec(kind, params))
 
 
+# largest number of points a start:stop:step grid may expand to
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(text):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ArrayFormatError(f"grid {text!r} must be start:stop:step or a comma list")
         a, b, step = (float(p) for p in parts)
+        if not all(math.isfinite(x) for x in (a, b, step)):
+            raise ArrayFormatError(f"grid {text!r} needs a finite start, stop and step")
         if step <= 0 or b < a:
             raise ArrayFormatError(f"grid {text!r} must ascend with a positive step")
         # the tolerance keeps a stop a whole number of steps away, such as
         # 1 in 0:1:0.1, in the grid despite rounding in the division
-        n = math.floor((b - a) / step + 1e-9) + 1
+        steps = (b - a) / step + 1e-9
+        if steps >= MAX_GRID_POINTS:
+            raise ArrayFormatError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        n = math.floor(steps) + 1
         # each point is the decimal the CSV prints ({:.12g}), so 0:0.3:0.1
         # seeds its trials as 0,0.1,0.2,0.3 does
         return [float(f"{a + i * step:.12g}") for i in range(n)]
@@ -207,30 +211,21 @@ def _cmd_analyze(args, argv):
     for key, val in rows:
         print(f"{key:<{width}}  {val}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        _write_manifest(args.json, argv, args)
+        _write_output(args.json, json.dumps(report, indent=2) + "\n", argv, args)
     if args.beampattern:
         om = np.linspace(-math.pi, math.pi, args.samples)
         bp = beampattern(values["profile"], om)
         vals = bp.values / len(array) ** 2 if args.normalize else bp.values
-        with open(args.beampattern, "w") as fh:
-            fh.write("omega,value\n")
-            for o, v in zip(om, vals):
-                fh.write(f"{o:.12g},{v:.12g}\n")
-        _write_manifest(args.beampattern, argv, args)
+        text = "omega,value\n" + "".join(f"{o:.12g},{v:.12g}\n" for o, v in zip(om, vals))
+        _write_output(args.beampattern, text, argv, args)
     return 0
 
 
 def _cmd_expand(args, argv):
-    if args.generators:
-        paths = [p for p in args.generators.split(",") if p]
-        gens = [load_array(p) for p in paths]
-    elif args.generator:
-        gens = [load_array(args.generator)]
-    else:
-        raise ArrayFormatError("give a generator file or --generators")
+    if bool(args.generator) == bool(args.generators):
+        raise ArrayFormatError("give exactly one of a generator file or --generators")
+    paths = [p for p in args.generators.split(",") if p] if args.generators else [args.generator]
+    gens = [load_array(p) for p in paths]
     # one file is reused at every order, as a positional generator is
     out = expand(gens[0] if len(gens) == 1 else gens, args.order, max_order=args.max_order)
     if args.name:
@@ -253,11 +248,16 @@ def _cmd_baseline(args, argv):
 
 
 def _cmd_search(args, argv):
+    try:
+        max_fragility = Fraction(args.max_fragility)
+    except (ValueError, ZeroDivisionError):
+        raise ArrayFormatError(
+            f"--max-fragility {args.max_fragility!r} is not a rational number") from None
     constraints = DesignConstraints(
         max_aperture=args.max_aperture,
         require_symmetric=args.symmetric,
         require_hole_free=args.hole_free,
-        max_fragility=Fraction(args.max_fragility),
+        max_fragility=max_fragility,
         max_leakage=args.max_leakage,
         coupling=_coupling_from_args(args),
         exact_aperture=args.exact_aperture,
@@ -273,10 +273,7 @@ def _cmd_search(args, argv):
             "wall_time": result.wall_time,
             "message": result.message,
         }
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        _write_manifest(args.json, argv, args)
+        _write_output(args.json, json.dumps(doc, indent=2) + "\n", argv, args)
     if not result.optimum:
         print(result.message)
         return 1
@@ -327,35 +324,27 @@ def _cmd_simulate(args, argv):
         grid_size=args.grid_size,
     )
     grid = _parse_grid(args.grid)
-    # opened at the first record: run_sweep validates the whole grid before
-    # any trial runs, so a rejected grid leaves no dump file behind
-    dump_fh = None
+    records = []
 
     def on_trial(value, index, est, failure):
-        nonlocal dump_fh
-        if args.dump_trials:
-            if dump_fh is None:
-                dump_fh = open(args.dump_trials, "w")
-            rec = {"axis_value": value, "trial": index, "success": est is not None,
-                   "estimates": None if est is None else [float(e) for e in est],
-                   "failure": failure}
-            dump_fh.write(json.dumps(rec) + "\n")
+        rec = {"axis_value": value, "trial": index, "success": est is not None,
+               "estimates": None if est is None else [float(e) for e in est],
+               "failure": failure}
+        records.append(json.dumps(rec) + "\n")
 
-    try:
-        result = run_sweep(base, axis, grid, workers=args.threads, on_trial=on_trial)
-    finally:
-        if dump_fh is not None:
-            dump_fh.close()
-            _write_manifest(args.dump_trials, argv, args)
+    result = run_sweep(base, axis, grid, workers=args.threads,
+                       on_trial=on_trial if args.dump_trials else None)
+    # written only once the sweep returns, so a rejected grid or a sweep
+    # stopped part-way leaves no dump behind
+    if args.dump_trials:
+        _write_output(args.dump_trials, "".join(records), argv, args)
     lines = ["axis_value,rmse,success_count,trial_count"]
     for p in result.points:
         rmse = "" if p.rmse is None else f"{p.rmse:.12g}"
         lines.append(f"{p.value:.12g},{rmse},{p.success_count},{p.trial_count}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _write_manifest(args.out, argv, args)
+        _write_output(args.out, text, argv, args)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -393,16 +382,10 @@ def _cmd_compare(args, argv):
     rows = [{h: float(v) if isinstance(v, Fraction) else v for h, v in row.items()}
             for row in rows]
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        _write_manifest(args.json, argv, args)
+        _write_output(args.json, json.dumps(rows, indent=2) + "\n", argv, args)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(",".join(headers) + "\n")
-            for row in rows:
-                fh.write(",".join(str(row[h]) for h in headers) + "\n")
-        _write_manifest(args.csv, argv, args)
+        lines = [headers] + [[str(row[h]) for h in headers] for row in rows]
+        _write_output(args.csv, "".join(",".join(line) + "\n" for line in lines), argv, args)
     return 0
 
 

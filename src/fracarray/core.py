@@ -31,9 +31,12 @@ class SensorArray:
     def __post_init__(self):
         cleaned = []
         for raw in self.elements:
+            # True == 1, so a boolean would otherwise pass as a position
+            if isinstance(raw, (bool, np.bool_)):
+                raise ArrayFormatError(f"bad element {raw!r}")
             try:
                 v = int(raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ArrayFormatError(f"bad element {raw!r}") from None
             if v != raw:
                 raise ArrayFormatError(f"non-integer element {raw!r}")

@@ -25,6 +25,13 @@ def _write(path, elements, name=""):
     return str(path)
 
 
+def _exits_two_with_error(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "Traceback" not in out + err
+    return err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -127,6 +134,10 @@ def test_analyze_malformed_file(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["analyze", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+    # json reads these as floats that int() cannot convert; true reads as 1
+    for text in ("[0, Infinity]", "[-Infinity, 3]", "[true, 3]"):
+        bad.write_text(text)
+        assert "bad element" in _exits_two_with_error(["analyze", str(bad)], capsys)
 
 
 @pytest.mark.parametrize("last,message", [
@@ -162,8 +173,12 @@ def test_expand_multi_generators(tmp_path):
     assert doc["name"] == "combo"
 
 
-def test_expand_requires_a_generator(capsys):
+def test_expand_requires_a_generator(tmp_path, capsys):
     assert main(["expand", "--order", "2"]) == 2
+    gen = _write(tmp_path / "g.json", (0, 1, 4, 6))
+    err = _exits_two_with_error(["expand", gen, "--generators", f"{gen},{gen}",
+                                 "--order", "2"], capsys)
+    assert "exactly one" in err
 
 
 def test_expand_order_cap_and_override(tmp_path, capsys):
@@ -242,6 +257,9 @@ def test_search_naive_route_agrees(tmp_path):
 
 def test_search_bad_fragility_string(capsys):
     assert main(["search", "--max-aperture", "5", "--max-fragility", "abc"]) == 2
+    err = _exits_two_with_error(["search", "--max-aperture", "5", "--max-fragility", "1/0"],
+                                capsys)
+    assert "'1/0'" in err
 
 
 def test_search_guard_needs_force(capsys):
@@ -434,6 +452,12 @@ def test_simulate_failure_grid_within_range(capsys):
 def test_simulate_bad_grid_and_range(capsys, tmp_path):
     assert main(SIM_BASE[:-1] + ["5:1:1"]) == 2
     assert main(SIM_BASE + ["--range", "nonsense"]) == 2
+    # the last grid would need 10**18 points, so it must fail before any is built
+    for grid, message in (("0:inf:1", "finite"), ("nan:1:1", "finite"),
+                          ("0:1e9:1e-9", "more than 100000 points")):
+        err = _exits_two_with_error(SIM_BASE[:-1] + [grid], capsys)
+        assert f"grid {grid!r}" in err and message in err
+    assert len(_parse_grid("0:99999:1")) == 100_000
 
 
 def test_compare_table(tmp_path, capsys):
@@ -596,3 +620,37 @@ def test_compare_golden_output(tmp_path, capsys):
     assert capsys.readouterr().out == GOLDEN_COMPARE
     assert csv.read_text() == GOLDEN_COMPARE_CSV
     assert js.read_text() == json.dumps(GOLDEN_COMPARE_JSON, indent=2) + "\n"
+
+
+# every file the CLI writes: argv with {d} for the test directory, the file
+# written, and text it must hold once decoded as UTF-8
+GEN_NAME = "Ω-génér"
+WRITTEN_FILES = [
+    (["expand", "{d}/g.json", "--order", "2", "--out", "{d}/g2.json"], "g2.json", ""),
+    (["cantor", "--order", "3", "--out", "{d}/c3.json"], "c3.json", ""),
+    (["baseline", "--kind", "nested", "--n1", "2", "--n2", "3", "--out", "{d}/na.json"],
+     "na.json", ""),
+    (["analyze", "{d}/g.json", "--json", "{d}/report.json"], "report.json", ""),
+    (["analyze", "{d}/g.json", "--beampattern", "{d}/bp.csv", "--samples", "16"], "bp.csv", ""),
+    (["search", "--max-aperture", "6", "--max-fragility", "1", "--max-leakage", "1",
+      "--json", "{d}/search.json"], "search.json", ""),
+    (SIM_BASE + ["--out", "{d}/sim.csv"], "sim.csv", ""),
+    (SIM_BASE + ["--dump-trials", "{d}/trials.jsonl"], "trials.jsonl", ""),
+    (["compare", "--arrays", "{d}/g.json", "--baselines", "ula:4", "--json", "{d}/cmp.json"],
+     "cmp.json", ""),
+    (["compare", "--arrays", "{d}/g.json", "--baselines", "ula:4", "--csv", "{d}/cmp.csv"],
+     "cmp.csv", GEN_NAME),
+]
+
+
+@pytest.mark.parametrize("argv,written,holds", WRITTEN_FILES,
+                         ids=[w for _, w, _ in WRITTEN_FILES])
+def test_every_written_file_has_a_matching_manifest(argv, written, holds, tmp_path, capsys):
+    _write(tmp_path / "g.json", (0, 1, 4, 6), name=GEN_NAME)
+    assert main([a.format(d=tmp_path) for a in argv]) == 0
+    data = (tmp_path / written).read_bytes()
+    assert holds in data.decode("utf-8")
+    manifest = json.loads((tmp_path / f"{written}.manifest.json").read_text())
+    assert manifest["outputs"] == [{"path": written,
+                                    "sha256": hashlib.sha256(data).hexdigest(),
+                                    "bytes": len(data)}]

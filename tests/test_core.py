@@ -149,6 +149,9 @@ def test_rejects_bad_elements():
         SensorArray((0, 1.5))
     with pytest.raises(ArrayFormatError):
         SensorArray((0, "x"))
+    for elements in ((0, float("inf")), (float("-inf"), 0), (True, 3), (0, False)):
+        with pytest.raises(ArrayFormatError, match="bad element"):
+            SensorArray(elements)
 
 
 def test_rejects_apertures_beyond_int64():
