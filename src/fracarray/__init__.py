@@ -16,7 +16,6 @@ from .core import (
     is_symmetric,
     load_array,
     parse_array,
-    reversed_array,
 )
 from .fractal import cantor, expand
 from .analysis import (
@@ -48,7 +47,6 @@ from .doa import (
     IdentifiabilityError,
     Scenario,
     SweepPoint,
-    SweepResult,
     coarray_music,
     coarray_statistics,
     equally_spaced_thetas,

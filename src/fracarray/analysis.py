@@ -57,7 +57,6 @@ class Beampattern:
 
     omegas: np.ndarray
     values: np.ndarray
-    source: str = ""
 
 
 def _weight_dtft(w, om):
@@ -116,7 +115,7 @@ def beampattern(array, omegas):
         values = _weight_dtft(prof.counts, om)
     else:
         values = _grid_dtft(prof.counts, L)[np.arange(om.size) % L]
-    return Beampattern(om, values, source=prof.array.name)
+    return Beampattern(om, values)
 
 
 def product_beampattern(generator, r, omegas):
@@ -144,7 +143,7 @@ def product_beampattern(generator, r, omegas):
         k = np.arange(om.size) % L
         for i in range(r):
             vals = vals * gen[k * pow(M, i, L) % L]
-    return Beampattern(om, vals, source=generator.name)
+    return Beampattern(om, vals)
 
 
 @dataclass(frozen=True)

@@ -332,14 +332,14 @@ def _cmd_simulate(args, argv):
                "failure": failure}
         records.append(json.dumps(rec) + "\n")
 
-    result = run_sweep(base, axis, grid, workers=args.threads,
+    points = run_sweep(base, axis, grid, workers=args.threads,
                        on_trial=on_trial if args.dump_trials else None)
     # written only once the sweep returns, so a rejected grid or a sweep
     # stopped part-way leaves no dump behind
     if args.dump_trials:
         _write_output(args.dump_trials, "".join(records), argv, args)
     lines = ["axis_value,rmse,success_count,trial_count"]
-    for p in result.points:
+    for p in points:
         rmse = "" if p.rmse is None else f"{p.rmse:.12g}"
         lines.append(f"{p.value:.12g},{rmse},{p.success_count},{p.trial_count}")
     text = "\n".join(lines) + "\n"
@@ -348,7 +348,7 @@ def _cmd_simulate(args, argv):
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-    if all(p.success_count == 0 for p in result.points):
+    if all(p.success_count == 0 for p in points):
         print("every trial failed at every grid point", file=sys.stderr)
         return 1
     return 0

@@ -133,11 +133,6 @@ class CoarrayProfile:
         self.central_ula_halfwidth = m
         self.ula_size = 2 * m + 1
 
-    def weight(self, lag):
-        """Ordered-pair count at one lag; zero outside the coarray."""
-        d = abs(int(lag))
-        return int(self.counts[d]) if d <= self.aperture else 0
-
     def __repr__(self):
         return (f"CoarrayProfile(aperture={self.aperture}, dof={self.dof}, "
                 f"hole_free={self.hole_free}, ula_halfwidth={self.central_ula_halfwidth})")
@@ -148,15 +143,11 @@ def difference_coarray(array):
     return CoarrayProfile(array)
 
 
-def reversed_array(array):
-    """Reflection about the aperture midpoint, renormalized to start at 0."""
-    a = array.aperture
-    return SensorArray(tuple(a - e for e in array.elements), name=array.name)
-
-
 def is_symmetric(array):
-    """True when the array equals its own reflection."""
-    return reversed_array(array).elements == array.elements
+    """True when each element and the one at the mirror index sum to the
+    aperture: the array equals its reflection about the aperture midpoint."""
+    e = array.elements
+    return all(a + b == array.aperture for a, b in zip(e, reversed(e)))
 
 
 def parse_array(doc, source="array literal"):

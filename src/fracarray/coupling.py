@@ -110,7 +110,6 @@ class LeakagePreservationReport:
     generator_leakage: float
     expanded_leakage: float
     preserved: object
-    order: int
 
 
 PRESERVATION_TOL = 1e-12
@@ -129,4 +128,4 @@ def verify_leakage_preservation(generator, model, r):
     pos = expand(generator, r).as_array()
     lr = float(leakage_from_counts(_near_lag_counts(pos, model.q), pos.size, model.c1_magnitude))
     preserved = bool(abs(lr - lg) <= PRESERVATION_TOL) if hyp else None
-    return LeakagePreservationReport(hyp, lg, lr, preserved, r)
+    return LeakagePreservationReport(hyp, lg, lr, preserved)

@@ -27,6 +27,8 @@ product.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,6 +93,8 @@ class Scenario:
             raise ValueError("failure probability must lie in [0, 1)")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.grid_size < 4:
             raise ValueError("grid too coarse")
 
@@ -292,7 +296,7 @@ def trial_seed(seed, value, index):
 FAILURE_CAUSES = ("all_dead", "identifiability", "peaks")
 
 
-def _trial(scenario, seed):
+def run_trial(scenario, seed):
     """One synthesize-estimate cycle: (ascending estimates, None), or
     (None, cause) with cause one of FAILURE_CAUSES."""
     rng = np.random.default_rng(seed)
@@ -307,13 +311,6 @@ def _trial(scenario, seed):
         return None, "identifiability"
     except EstimationFailure:
         return None, "peaks"
-
-
-def run_trial(scenario, seed):
-    """One synthesize-estimate cycle. Returns ascending estimates, or None
-    when the trial fails (all sensors dead, too few usable lags for the
-    source count, or too few spectrum peaks)."""
-    return _trial(scenario, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -331,12 +328,6 @@ class SweepPoint:
     peaks_count: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    axis: str
-    points: tuple
-
-
 def _with_axis_value(scenario, axis, value):
     if axis == "snr_db":
         return replace(scenario, snr_db=value)
@@ -351,7 +342,8 @@ def _with_axis_value(scenario, axis, value):
 
 
 def run_sweep(base, axis, grid, workers=1, on_trial=None):
-    """Monte-Carlo sweep of one scenario parameter.
+    """Monte-Carlo sweep of one scenario parameter; returns one SweepPoint
+    per grid value, in grid order.
 
     Runs base.trials independent trials per grid value; each trial's RNG
     stream derives from (base.seed, value, trial index), so the result does
@@ -359,6 +351,9 @@ def run_sweep(base, axis, grid, workers=1, on_trial=None):
     per-trial root-mean-square direction errors over successful trials
     (None if all failed); truth and estimates pair by sorted order. Every
     grid value is validated before the first trial runs.
+
+    The whole grid's trials run on one pool of min(workers, cores) threads;
+    a trial that raises, or an interrupt, cancels those not yet started.
 
     on_trial, if given, is called as on_trial(value, index, estimates,
     failure) in deterministic order; estimates is None for failed trials
@@ -368,20 +363,15 @@ def run_sweep(base, axis, grid, workers=1, on_trial=None):
         raise ValueError("sweep grid must be non-empty")
     values = [float(value) for value in grid]
     scenarios = [_with_axis_value(base, axis, value) for value in values]
-    seeds = [[trial_seed(base.seed, value, i) for i in range(sc.trials)]
-             for value, sc in zip(values, scenarios)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        # one pool for the whole grid, so no worker idles at a point's end
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [[pool.submit(_trial, sc, s) for s in point_seeds]
-                       for sc, point_seeds in zip(scenarios, seeds)]
-        outcomes = ([f.result() for f in point_futures] for point_futures in futures)
-    else:
-        outcomes = ([_trial(sc, s) for s in point_seeds]
-                    for sc, point_seeds in zip(scenarios, seeds))
+    n = base.trials
+    jobs = [(sc, trial_seed(base.seed, value, i))
+            for value, sc in zip(values, scenarios) for i in range(n)]
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        # drained inside the pool, so map's cancel runs before shutdown waits
+        outcomes = list(pool.map(run_trial, *zip(*jobs)))
     points = []
-    for value, sc, results in zip(values, scenarios, outcomes):
+    for p, (value, sc) in enumerate(zip(values, scenarios)):
+        results = outcomes[p * n:(p + 1) * n]
         truth = np.sort(np.asarray(sc.thetas))
         errs = []
         for i, (est, failure) in enumerate(results):
@@ -391,6 +381,6 @@ def run_sweep(base, axis, grid, workers=1, on_trial=None):
                 errs.append(math.sqrt(float(np.mean((est - truth) ** 2))))
         rmse = float(np.mean(errs)) if errs else None
         causes = [failure for _, failure in results]
-        points.append(SweepPoint(value, rmse, len(errs), sc.trials,
+        points.append(SweepPoint(value, rmse, len(errs), n,
                                  *(causes.count(c) for c in FAILURE_CAUSES)))
-    return SweepResult(axis, tuple(points))
+    return tuple(points)

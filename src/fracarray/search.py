@@ -158,30 +158,35 @@ def _combinations(nbits, c, limit):
                 yield joined[s:s + limit]
 
 
-def _candidate_blocks(span, k, symmetric):
-    """Yield the masks of every size-k candidate spanning exactly span, in
-    blocks; symmetric mode builds mirror-closed masks from half-masks."""
+def _families(span, k, symmetric):
+    """The size-k candidates spanning exactly span, as (fixed, bits, count)
+    families: both ends (and an even span's centre, or not) fixed, joined to
+    every bits-bit free mask of popcount count. Free bit j is the sensor at
+    j + 1 and, in symmetric mode, also its mirror at span - 1 - j."""
     if span == 0:
-        if k == 1:
-            yield np.ones(1, dtype=np.uint64)
-        return
+        return [(1, 0, 0)] if k == 1 else []
     if k < 2:
-        return
-    ends = np.uint64(1 | 1 << span)
+        return []
+    ends = 1 | 1 << span
     if not symmetric:
-        for inner in _combinations(span - 1, k - 2, BLOCK):
-            yield ends | (inner << 1)
-        return
-    pairs = (span + 1) // 2 - 1
+        return [(ends, span - 1, k - 2)]
+    families = []
     for center in (0, 1 << span // 2) if span % 2 == 0 else (0,):
         rem = k - 2 - (center > 0)
-        if rem < 0 or rem % 2:
-            continue
-        for half in _combinations(pairs, rem // 2, BLOCK):
-            masks = ends | center | (half << 1)
-            for j in range(pairs):
-                # bit j of half is the sensor at j + 1, mirrored to span - 1 - j
-                masks |= ((half >> j) & 1) << (span - 1 - j)
+        if rem >= 0 and rem % 2 == 0:
+            families.append((ends | center, (span + 1) // 2 - 1, rem // 2))
+    return families
+
+
+def _candidate_blocks(span, k, symmetric):
+    """Yield the masks of every size-k candidate spanning exactly span, in
+    blocks, family by family."""
+    for fixed, bits, count in _families(span, k, symmetric):
+        for free in _combinations(bits, count, BLOCK):
+            masks = np.uint64(fixed) | (free << 1)
+            if symmetric:
+                for j in range(bits):
+                    masks |= ((free >> j) & 1) << (span - 1 - j)
             yield masks
 
 
@@ -227,19 +232,7 @@ def _feasible(masks, span, k, cons):
 
 
 def _count_candidates(span, k, symmetric):
-    if span == 0:
-        return 1 if k == 1 else 0
-    if k < 2:
-        return 0
-    if not symmetric:
-        return math.comb(span - 1, k - 2)
-    pairs = (span + 1) // 2 - 1
-    total = 0
-    for take_center in (0, 1) if span % 2 == 0 else (0,):
-        rem = k - 2 - take_center
-        if rem >= 0 and rem % 2 == 0:
-            total += math.comb(pairs, rem // 2)
-    return total
+    return sum(math.comb(bits, count) for _, bits, count in _families(span, k, symmetric))
 
 
 def _solve_pruned(cons):

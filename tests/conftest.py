@@ -32,6 +32,11 @@ def oracle_weight_map(elems):
     return w
 
 
+def oracle_reflect(array):
+    """Reflection about the aperture midpoint, renormalized to start at 0."""
+    return SensorArray(tuple(array.aperture - e for e in array.elements), name=array.name)
+
+
 def coarray_lags(profile):
     """Sorted tuple of every lag of a CoarrayProfile with a nonzero count."""
     nonneg = [d for d, c in enumerate(profile.counts.tolist()) if c]

@@ -234,20 +234,18 @@ def test_a09_monte_carlo_orderings():
     s_scenario = Scenario(array=SensorArray(S_ELEMS), thetas=thetas,
                           snapshots=1000, trials=100, seed=0, grid_size=GRID)
 
-    snr = run_sweep(s_scenario, "snr_db", [-10.0, 20.0])
-    lo, hi = snr.points
+    lo, hi = run_sweep(s_scenario, "snr_db", [-10.0, 20.0])
     assert lo.success_count and hi.success_count
     assert hi.rmse < lo.rmse
 
-    coup = run_sweep(s_scenario, "coupling_c1_mag", [0.05, 0.5])
-    weak, strong = coup.points
+    weak, strong = run_sweep(s_scenario, "coupling_c1_mag", [0.05, 0.5])
     assert weak.success_count > 0
     assert weak.rmse <= (strong.rmse if strong.rmse is not None else math.inf)
 
-    fail_s = run_sweep(s_scenario, "failure_probability", [0.2]).points[0]
+    fail_s = run_sweep(s_scenario, "failure_probability", [0.2])[0]
     na_scenario = Scenario(array=nested(4, 4), thetas=thetas, snapshots=1000,
                            trials=100, seed=0, grid_size=GRID)
-    fail_na = run_sweep(na_scenario, "failure_probability", [0.2]).points[0]
+    fail_na = run_sweep(na_scenario, "failure_probability", [0.2])[0]
     assert fail_s.success_count > fail_na.success_count
     elapsed = time.perf_counter() - t0
     assert elapsed < 1200.0

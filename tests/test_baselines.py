@@ -90,7 +90,7 @@ def test_mha_table_has_all_distinct_differences():
         assert arr.aperture == span
         # Golomb: every positive lag occurs at most once
         prof = difference_coarray(arr)
-        assert all(prof.weight(m) == 1 for m in range(1, span + 1) if prof.weight(m))
+        assert prof.counts[1:].max(initial=0) <= 1
         assert len(oracle_differences(arr.elements)) == n * (n - 1) + 1
 
 

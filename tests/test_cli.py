@@ -458,6 +458,8 @@ def test_simulate_bad_grid_and_range(capsys, tmp_path):
         err = _exits_two_with_error(SIM_BASE[:-1] + [grid], capsys)
         assert f"grid {grid!r}" in err and message in err
     assert len(_parse_grid("0:99999:1")) == 100_000
+    err = _exits_two_with_error(SIM_BASE + ["--seed", "-1"], capsys)
+    assert "seed must be non-negative, got -1" in err
 
 
 def test_compare_table(tmp_path, capsys):

@@ -11,7 +11,6 @@ from fracarray import (
     is_symmetric,
     load_array,
     parse_array,
-    reversed_array,
 )
 from conftest import (
     S_ELEMS,
@@ -19,6 +18,7 @@ from conftest import (
     oracle_central_halfwidth,
     oracle_differences,
     oracle_hole_free,
+    oracle_reflect,
     oracle_weight_map,
     random_elements,
 )
@@ -37,9 +37,7 @@ def test_minimum_hole_expander_coarray():
     prof = difference_coarray(SensorArray((0, 1, 4, 6)))
     assert prof.dof == 13
     assert prof.hole_free
-    assert prof.weight(0) == 4
-    assert all(prof.weight(m) == 1 for m in range(1, 7))
-    assert prof.weight(7) == 0
+    assert prof.counts.tolist() == [4, 1, 1, 1, 1, 1, 1]
 
 
 def test_holey_coarray():
@@ -56,8 +54,7 @@ def test_weights_match_bruteforce(seed):
     prof = difference_coarray(SensorArray(elems))
     want = oracle_weight_map(elems)
     assert coarray_lags(prof) == tuple(sorted(want))
-    for m in range(-prof.aperture - 1, prof.aperture + 2):
-        assert prof.weight(m) == want.get(m, 0)
+    assert prof.counts.tolist() == [want.get(m, 0) for m in range(prof.aperture + 1)]
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -70,7 +67,7 @@ def test_profile_invariants(seed):
     n = len(arr)
     assert 0 in diffs
     assert diffs == {-d for d in diffs}
-    assert prof.weight(0) == n
+    assert prof.counts[0] == n
     assert sum(prof.counts) * 2 - n == n * n  # half map double-counts only m != 0
     assert prof.dof == len(diffs)
     assert prof.hole_free == (prof.dof == 2 * prof.aperture + 1)
@@ -102,20 +99,27 @@ def test_counts_are_readonly():
 
 def test_reversal():
     arr = SensorArray((0, 1, 3), name="probe")
-    rev = reversed_array(arr)
+    rev = oracle_reflect(arr)
     assert rev.elements == (0, 2, 3)
-    assert reversed_array(rev).elements == arr.elements
+    assert oracle_reflect(rev).elements == arr.elements
     # reflection never changes the coarray
     assert coarray_lags(difference_coarray(rev)) == coarray_lags(difference_coarray(arr))
-    assert reversed_array(SensorArray((0, 1, 4, 6))).elements == (0, 2, 5, 6)
+    assert oracle_reflect(SensorArray((0, 1, 4, 6))).elements == (0, 2, 5, 6)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_reversal_preserves_coarray(seed):
     rng = np.random.default_rng(200 + seed)
     arr = SensorArray(random_elements(rng, 30))
-    rev = reversed_array(arr)
+    rev = oracle_reflect(arr)
     assert coarray_lags(difference_coarray(rev)) == coarray_lags(difference_coarray(arr))
+    # is_symmetric against the reflection, on the array, one a sensor longer
+    # (the other aperture parity) and both closed under their mirror
+    for a in (arr, SensorArray(arr.elements + (arr.aperture + 1,))):
+        closed = SensorArray(a.elements + oracle_reflect(a).elements)
+        assert is_symmetric(closed)
+        for b in (a, closed):
+            assert is_symmetric(b) == (oracle_reflect(b) == b)
 
 
 def test_symmetry_predicate():

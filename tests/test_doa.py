@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +24,7 @@ from fracarray import (
     synthesize,
     trial_seed,
 )
+from fracarray import doa
 from fracarray.doa import _music_denominator, _peak_directions, _real_form, _signal_subspace
 from conftest import (
     S_ELEMS,
@@ -90,7 +93,7 @@ def test_scenario_rejects_nan_and_minus_inf_snr(snr):
 
 
 def test_infinite_snr_is_noiseless():
-    point = run_sweep(_scenario(trials=2), "snr_db", [math.inf]).points[0]
+    point = run_sweep(_scenario(trials=2), "snr_db", [math.inf])[0]
     assert point.value == math.inf and point.success_count == 2
 
 
@@ -186,7 +189,7 @@ def test_coarray_statistics_duplicate_count_is_weight():
     lag = pos[:, None] - pos[None, :]
     m = prof.central_ula_halfwidth
     for d in range(-m, m + 1):
-        assert int((lag == d).sum()) == prof.weight(d)
+        assert int((lag == d).sum()) == prof.counts[abs(d)]
 
 
 def test_coarray_statistics_rejects_shape_mismatch():
@@ -379,13 +382,13 @@ def test_run_trial_none_when_sources_exceed_identifiability():
                   snapshots=100, trials=1, grid_size=2048)
     # central run halfwidth 19 gives a 20-sensor smoothed subarray: 20 sources
     # is one too many
-    assert run_trial(sc, 0) is None
+    assert run_trial(sc, 0) == (None, "identifiability")
 
 
 def test_run_trial_none_when_every_sensor_fails():
     sc = Scenario(array=SensorArray((0, 1)), thetas=(0.1,), snapshots=20,
                   trials=1, failure_probability=0.97, grid_size=512)
-    outcomes = {run_trial(sc, s) is None for s in range(60)}
+    outcomes = {run_trial(sc, s)[0] is None for s in range(60)}
     assert True in outcomes  # some seed kills both sensors
     with pytest.raises(EstimationFailure):
         for s in range(60):
@@ -407,8 +410,8 @@ def test_trial_seed_is_order_free_and_distinct():
 
 def test_run_trial_deterministic():
     sc = _scenario()
-    a = run_trial(sc, trial_seed(0, 0.0, 0))
-    b = run_trial(sc, trial_seed(0, 0.0, 0))
+    a = run_trial(sc, trial_seed(0, 0.0, 0))[0]
+    b = run_trial(sc, trial_seed(0, 0.0, 0))[0]
     assert a is not None and np.array_equal(a, b)
 
 
@@ -416,9 +419,8 @@ def test_sweep_points_and_determinism():
     sc = _scenario(trials=5)
     res1 = run_sweep(sc, "snr_db", [-10.0, 20.0])
     res2 = run_sweep(sc, "snr_db", [-10.0, 20.0])
-    assert res1.axis == "snr_db"
-    assert [p.value for p in res1.points] == [-10.0, 20.0]
-    for p1, p2 in zip(res1.points, res2.points):
+    assert [p.value for p in res1] == [-10.0, 20.0]
+    for p1, p2 in zip(res1, res2):
         assert p1.trial_count == 5
         assert p1.success_count == p2.success_count
         assert p1.rmse == p2.rmse  # bit-identical reruns
@@ -428,7 +430,7 @@ def test_sweep_points_and_determinism():
 def test_sweep_clean_conditions_all_trials_succeed():
     # no failures, no coupling, generous SNR: every trial must resolve
     sc = _scenario(trials=5, snr_db=20.0)
-    point = run_sweep(sc, "failure_probability", [0.0]).points[0]
+    point = run_sweep(sc, "failure_probability", [0.0])[0]
     assert point.success_count == point.trial_count == 5
     assert point.rmse is not None and point.rmse >= 0.0
 
@@ -437,8 +439,39 @@ def test_sweep_worker_count_does_not_change_results():
     sc = _scenario(trials=6)
     serial = run_sweep(sc, "snr_db", [0.0])
     threaded = run_sweep(sc, "snr_db", [0.0], workers=3)
-    assert serial.points[0].rmse == threaded.points[0].rmse
-    assert serial.points[0].success_count == threaded.points[0].success_count
+    assert serial[0].rmse == threaded[0].rmse
+    assert serial[0].success_count == threaded[0].success_count
+
+
+@pytest.mark.parametrize("cores, threads", [(2, 2), (None, 1)])
+def test_sweep_threads_never_exceed_the_cores(monkeypatch, cores, threads):
+    asked = []
+
+    class Spy(doa.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(doa, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(doa.os, "cpu_count", lambda: cores)
+    point, = run_sweep(_scenario(trials=3), "snr_db", [0.0], workers=10_000)
+    assert asked == [threads] and point.trial_count == 3
+
+
+def test_a_failing_trial_stops_the_sweep(monkeypatch):
+    calls = itertools.count()  # next() on it is atomic across threads
+
+    def trial(scenario, seed):
+        if next(calls) == 0:
+            raise RuntimeError("trial failed")
+        time.sleep(0.01)
+        return None, "peaks"
+
+    monkeypatch.setattr(doa, "run_trial", trial)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_sweep(_scenario(trials=200), "snr_db", [0.0], workers=2)
+    # the trials not yet started were cancelled, not run
+    assert next(calls) < 20
 
 
 def _records(sc, axis, grid, workers):
@@ -488,7 +521,7 @@ def _replayed_cause(sc, seed):
 def test_sweep_counts_failures_by_cause(sc, grid, seen_causes):
     res, seen = _records(sc, "failure_probability", grid, 2)
     found = set()
-    for point in res.points:
+    for point in res:
         causes = [_replayed_cause(replace(sc, failure_probability=point.value),
                                   trial_seed(sc.seed, point.value, i))
                   for i in range(sc.trials)]
@@ -507,8 +540,7 @@ def test_sweep_rmse_averages_only_successful_trials():
     sc = Scenario(array=SensorArray(S_ELEMS), thetas=equally_spaced_thetas(20),
                   snapshots=400, trials=6, seed=3, grid_size=4096)
     value = 0.5
-    res = run_sweep(sc, "coupling_c1_mag", [value])
-    point = res.points[0]
+    point = run_sweep(sc, "coupling_c1_mag", [value])[0]
     assert 0 < point.success_count < point.trial_count, "need a mixed outcome"
 
     probe = Scenario(array=sc.array, thetas=sc.thetas, snapshots=sc.snapshots,
@@ -518,7 +550,7 @@ def test_sweep_rmse_averages_only_successful_trials():
     truth = np.sort(np.asarray(sc.thetas))
     errs = []
     for i in range(sc.trials):
-        est = run_trial(probe, trial_seed(sc.seed, value, i))
+        est = run_trial(probe, trial_seed(sc.seed, value, i))[0]
         if est is not None:
             errs.append(math.sqrt(float(np.mean((est - truth) ** 2))))
     assert len(errs) == point.success_count
@@ -545,6 +577,6 @@ def test_sweep_axis_validation():
 def test_sweep_failure_axis_reports_none_rmse_when_hopeless():
     sc = Scenario(array=nested(4, 4), thetas=equally_spaced_thetas(20),
                   snapshots=50, trials=3, grid_size=1024)
-    res = run_sweep(sc, "failure_probability", [0.0])
-    assert res.points[0].rmse is None
-    assert res.points[0].success_count == 0
+    point = run_sweep(sc, "failure_probability", [0.0])[0]
+    assert point.rmse is None
+    assert point.success_count == 0
