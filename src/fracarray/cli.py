@@ -270,6 +270,8 @@ def _cmd_search(args, argv):
             "optimum": [list(a.elements) for a in result.optimum],
             "explored": result.explored,
             "pruned": result.pruned,
+            "by_size": [dict(zip(("k", "explored", "pruned", "complete"), row))
+                        for row in result.by_size],
             "wall_time": result.wall_time,
             "message": result.message,
         }
@@ -492,6 +494,10 @@ def main(argv=None):
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # the shell's code for a process ended by SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

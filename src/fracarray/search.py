@@ -5,9 +5,12 @@ The solver enumerates candidate element sets by ascending cardinality, so
 the first feasible cardinality is the optimum. Candidates are uint64
 bitmasks over {0..max_aperture}, so apertures stop at MAX_SPAN = 63. One
 numpy kernel builds them block by block (at most BLOCK masks each, from a
-table of low-bit masks grouped by popcount) and tests each block with one
-AND-shift per lag: hole-free first, then leakage, then the essential-sensor
-count behind fragility, all exact.
+table of low-bit masks grouped by popcount) and keeps each block's
+hole-free masks, the complete rulers, with one AND-shift per lag. The
+complete rulers of consecutive blocks of one (span, k) are pooled, up to
+BLOCK masks, and each pool goes through leakage and then fragility, all
+exact. Fragility is a running cut: lags from the longest add their
+essential sensors, and a mask leaves as soon as it holds too many.
 """
 
 import functools
@@ -22,7 +25,8 @@ from .analysis import economy
 from .core import SensorArray, difference_coarray, is_symmetric
 from .coupling import CouplingModel, leakage_from_counts, leakage_from_profile
 
-# unconstrained A=28 takes about 2 s on a 2-core VM, A=29 about 6-8 s
+# with the default rules A=28 takes about 0.7 s on a 2-core VM and A=29
+# about 3 s; the guard moves only when a measurement justifies it
 APERTURE_GUARD = 28
 
 
@@ -109,7 +113,10 @@ class SearchResult:
 
     explored counts candidates built and tested by the block kernel;
     pruned counts candidates ruled out in bulk by sound bounds without
-    being built.
+    being built. by_size holds (k, explored, pruned, complete) for each
+    size tried, where complete counts the candidates that reach the
+    leakage rule: the hole-free ones, or every one explored when the
+    hole-free rule is off.
     """
 
     optimum: tuple
@@ -118,6 +125,7 @@ class SearchResult:
     pruned: int
     wall_time: float
     message: str = ""
+    by_size: tuple = ()
 
 
 # A candidate is a uint64 bitmask: bit e marks a sensor at position e, so a
@@ -198,37 +206,51 @@ def _lag_pairs(masks, lags):
     return pairs
 
 
-def _essential_counts(masks, span, k):
-    """Essential sensors of each size-k candidate: the ends of the pair at
-    a weight-1 lag and the middle of g - d, g, g + d at a weight-2 lag, the
-    rule analysis.economy reads from its pair pass. A single sensor counts
-    as essential."""
+def _fragility_cut(masks, span, k, bound):
+    """The size-k masks with at most bound essential sensors: the ends of the
+    pair at a weight-1 lag and the middle of g - d, g, g + d at a weight-2
+    lag, the rule analysis.economy reads from its pair pass. A single sensor
+    counts as essential. Lags run from the longest, whose pairs are rarest;
+    the essential set only grows, so a mask leaves once it holds more than
+    bound."""
     ess = masks.copy() if k == 1 else np.zeros_like(masks)
-    for d in range(1, span + 1):
+    for d in range(span, 0, -1):
+        if not masks.size:
+            break
         pairs = masks & (masks >> d)  # bit i: sensors at i and i + d
         w = np.bitwise_count(pairs)
         ess |= np.where(w == 1, pairs | (pairs << d), 0)
         ess |= np.where(w == 2, (pairs & (pairs >> d)) << d, 0)
-    return np.bitwise_count(ess)
+        keep = np.bitwise_count(ess) <= bound
+        masks, ess = masks[keep], ess[keep]
+    # the loop is empty for the single sensor, span 0
+    return masks[np.bitwise_count(ess) <= bound]
 
 
 def _elements(mask, span):
     return tuple(e for e in range(span + 1) if mask >> e & 1)
 
 
+def _hole_free(masks, span):
+    """The masks of one block with a pair at every lag; the longest (rarest)
+    lags go first so the block shrinks early, and lag span is the pair
+    (0, span)."""
+    for d in range(span - 1, 0, -1):
+        if not masks.size:
+            break
+        masks = masks[(masks & (masks >> d)) != 0]
+    return masks
+
+
 def _feasible(masks, span, k, cons):
-    """The masks of one block that pass every rule, cheapest rule first."""
-    if cons.require_hole_free:
-        # every lag has a pair; the longest (rarest) lags go first so the
-        # block shrinks early, and lag span is the pair (0, span)
-        for d in range(span - 1, 0, -1):
-            masks = masks[(masks & (masks >> d)) != 0]
+    """The masks of one pool that pass leakage, then fragility; the pool
+    holds only hole-free masks when that rule is on."""
     # the leakage formula check_constraints uses, on the coupled lags
     pairs = _lag_pairs(masks, min(cons.coupling.q, span))
     masks = masks[leakage_from_counts(pairs, k, cons.coupling.c1_magnitude) <= cons.max_leakage]
     # fragility ess / k <= num / den, compared as exact integers
     f = cons.max_fragility
-    return masks[_essential_counts(masks, span, k) <= f.numerator * k // f.denominator]
+    return _fragility_cut(masks, span, k, f.numerator * k // f.denominator)
 
 
 def _count_candidates(span, k, symmetric):
@@ -236,23 +258,39 @@ def _count_candidates(span, k, symmetric):
 
 
 def _solve_pruned(cons):
+    """(optima, their size, by_size): by_size holds (k, explored, pruned,
+    complete) for each size tried."""
     A = cons.max_aperture
     spans = [A] if cons.exact_aperture else list(range(A + 1))
-    explored = pruned = 0
+    by_size = []
     for k in range(1, A + 2):
-        found = []
+        found, explored, pruned, complete = [], 0, 0, 0
         for span in spans:
             # a hole-free coarray over [-span, span] needs k(k-1) >= 2*span
             if cons.require_hole_free and span and k * (k - 1) < 2 * span:
                 pruned += _count_candidates(span, k, cons.require_symmetric)
                 continue
+            # the complete rulers of consecutive blocks share one leakage
+            # and fragility pass, which pays numpy's per-call cost once per
+            # pool; a pool holds at most BLOCK masks, which bounds the
+            # (masks x lags) float temporaries of leakage
+            pool, held = [], 0
             for masks in _candidate_blocks(span, k, cons.require_symmetric):
                 explored += masks.size
-                for mask in _feasible(masks, span, k, cons).tolist():
-                    found.append(_elements(mask, span))
+                if cons.require_hole_free:
+                    masks = _hole_free(masks, span)
+                complete += masks.size
+                if held + masks.size > BLOCK:
+                    found += _feasible(np.concatenate(pool), span, k, cons).tolist()
+                    pool, held = [], 0
+                pool.append(masks)
+                held += masks.size
+            if held:
+                found += _feasible(np.concatenate(pool), span, k, cons).tolist()
+        by_size.append((k, explored, pruned, complete))
         if found:
-            return [SensorArray(e) for e in sorted(found)], k, explored, pruned
-    return [], 0, explored, pruned
+            return [SensorArray(e) for e in sorted(_elements(m, A) for m in found)], k, by_size
+    return [], 0, by_size
 
 
 def solve_p1(constraints, force=False):
@@ -271,7 +309,8 @@ def solve_p1(constraints, force=False):
         raise ValueError(f"aperture {constraints.max_aperture} exceeds the "
                          f"exhaustive-search guard {APERTURE_GUARD}; pass force=True")
     t0 = time.perf_counter()
-    sols, size, explored, pruned = _solve_pruned(constraints)
+    sols, size, by_size = _solve_pruned(constraints)
     elapsed = time.perf_counter() - t0
     msg = "" if sols else f"no feasible array within aperture {constraints.max_aperture}"
-    return SearchResult(tuple(sols), size, explored, pruned, elapsed, msg)
+    return SearchResult(tuple(sols), size, sum(s[1] for s in by_size),
+                        sum(s[2] for s in by_size), elapsed, msg, tuple(by_size))

@@ -16,6 +16,7 @@ from fracarray import (
     product_beampattern,
     solve_p1,
 )
+from fracarray import cli
 from fracarray.cli import _parse_grid, main
 from conftest import S_ELEMS, oracle_solve_p1
 
@@ -242,7 +243,19 @@ def test_search_json_matches_library(tmp_path, capsys):
     lib = solve_p1(DesignConstraints(max_aperture=8, max_leakage=0.36))
     assert doc["optimum_size"] == lib.optimum_size
     assert doc["optimum"] == [list(a.elements) for a in lib.optimum]
+    assert [[row[key] for key in ("k", "explored", "pruned", "complete")]
+            for row in doc["by_size"]] == [list(row) for row in lib.by_size]
     assert (tmp_path / "res.json.manifest.json").exists()
+
+
+def test_interrupt_exits_130_with_one_line(monkeypatch, capsys):
+    def interrupted(args, argv):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_search", interrupted)
+    assert main(["search", "--max-aperture", "5"]) == 130
+    err = capsys.readouterr().err
+    assert err == "error: interrupted\n"
 
 
 def test_search_naive_route_agrees(tmp_path):

@@ -1,4 +1,7 @@
+import collections
+import functools
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from fracarray import (
     SensorArray,
     check_constraints,
     difference_coarray,
+    is_symmetric,
     leakage_from_profile,
     solve_p1,
 )
@@ -206,25 +210,83 @@ def _random_mix(rng):
     )
 
 
+@functools.cache
+def _random_mix_and_oracle(seed):
+    cons = _random_mix(np.random.default_rng(seed))
+    return cons, oracle_solve_p1(cons)
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_kernel_equals_naive_route_on_random_mixes(seed):
-    cons = _random_mix(np.random.default_rng(seed))
+    cons, oracle = _random_mix_and_oracle(seed)
     fast = solve_p1(cons)
-    assert (fast.optimum_size, tuple(a.elements for a in fast.optimum)) == oracle_solve_p1(cons)
+    assert (fast.optimum_size, tuple(a.elements for a in fast.optimum)) == oracle
+
+
+def test_pools_split_inside_a_size_keep_the_random_mix_optima(monkeypatch):
+    # tiny blocks make the leakage and fragility pass run on many pools per
+    # (span, k); a pool never outgrows one block, which bounds its temporaries
+    monkeypatch.setattr(search, "BLOCK", 16)
+    feasible, pools = search._feasible, []
+
+    def spy(masks, span, k, cons):
+        pools.append(((seed, span, k), masks.size))
+        return feasible(masks, span, k, cons)
+
+    monkeypatch.setattr(search, "_feasible", spy)
+    for seed in range(24):
+        cons, oracle = _random_mix_and_oracle(seed)
+        fast = solve_p1(cons)
+        assert (fast.optimum_size, tuple(a.elements for a in fast.optimum)) == oracle
+    assert max(size for _, size in pools) <= search.BLOCK
+    assert max(collections.Counter(key for key, _ in pools).values()) > 1
+
+
+@pytest.mark.parametrize("kw", [
+    dict(max_aperture=9),
+    dict(max_aperture=8, exact_aperture=False, max_fragility=1, max_leakage=1),
+    dict(max_aperture=8, require_symmetric=True, max_fragility=1, max_leakage=0.45),
+    dict(max_aperture=7, require_hole_free=False, max_fragility=1, max_leakage=0.3),
+])
+def test_by_size_counts_every_size_tried(kw):
+    cons = DesignConstraints(**kw)
+    res = solve_p1(cons)
+    A = cons.max_aperture
+    last = res.optimum_size or A + 1
+    assert [row[0] for row in res.by_size] == list(range(1, last + 1))
+    assert sum(row[1] for row in res.by_size) == res.explored
+    assert sum(row[2] for row in res.by_size) == res.pruned
+    for k, explored, pruned, complete in res.by_size:
+        cands = [(0,) + rest for rest in itertools.combinations(range(1, A + 1), k - 1)
+                 if (not cons.exact_aperture or rest[-1:] == (A,))
+                 and (not cons.require_symmetric or is_symmetric(SensorArray((0,) + rest)))]
+        assert explored + pruned == len(cands)
+        passing = [c for c in cands if difference_coarray(SensorArray(c)).hole_free
+                   or not cons.require_hole_free]
+        assert complete == len(passing)
 
 
 def test_essential_counts_equal_economy_at_span_12():
+    # the running cut keeps a mask exactly when its essential count, from
+    # the removal definition, is at most the bound, for every bound 0..k
     span, checked, hole_free = 12, 0, 0
     for k in range(2, span + 2):
         for masks in search._candidate_blocks(span, k, False):
-            counts = search._essential_counts(masks, span, k)
-            for mask, count in zip(masks.tolist(), counts.tolist()):
-                elems = tuple(e for e in range(span + 1) if mask >> e & 1)
-                assert count == sum(oracle_essential(elems)), elems
+            counts = {}
+            for mask in masks.tolist():
+                elems = search._elements(mask, span)
+                counts[mask] = sum(oracle_essential(elems))
                 checked += 1
                 hole_free += difference_coarray(SensorArray(elems)).hole_free
+            for bound in range(k + 1):
+                kept = search._fragility_cut(masks, span, k, bound).tolist()
+                assert kept == [m for m in masks.tolist() if counts[m] <= bound], (k, bound)
     assert checked == 2 ** (span - 1)
     assert hole_free > 100
+    # the single sensor is essential, and span 0 has no lag to walk
+    single = np.array([1], dtype=np.uint64)
+    assert search._fragility_cut(single, 0, 1, 0).tolist() == []
+    assert search._fragility_cut(single, 0, 1, 1).tolist() == [1]
 
 
 @pytest.mark.parametrize("kw", [
