@@ -26,7 +26,7 @@ from .core import ArrayFormatError, SensorArray, difference_coarray, is_symmetri
 from .coupling import CouplingModel, leakage_from_profile
 from .doa import DEFAULT_GRID, Scenario, equally_spaced_thetas, run_sweep
 from .fractal import MAX_ORDER, cantor, expand
-from .search import DesignConstraints, solve_p1
+from .search import APERTURE_GUARD, MAX_SPAN, DesignConstraints, solve_p1
 
 
 def _config_of(args):
@@ -262,6 +262,10 @@ def _cmd_search(args, argv):
         coupling=_coupling_from_args(args),
         exact_aperture=args.exact_aperture,
     )
+    if APERTURE_GUARD < args.max_aperture <= MAX_SPAN and not args.force:
+        # solve_p1 raises here too, but its message names the library's force=True
+        raise ArrayFormatError(f"aperture {args.max_aperture} exceeds the exhaustive-search "
+                               f"guard {APERTURE_GUARD}; pass --force")
     result = solve_p1(constraints, force=args.force)
     if args.json:
         doc = {

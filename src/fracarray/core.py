@@ -74,33 +74,49 @@ class SensorArray:
 PAIR_BUDGET = 4_000_000
 
 
-def pair_blocks(pos):
-    """Walk the pairs j > i of sorted positions in bounded row blocks.
+def pair_blocks(pos, rows=None):
+    """Walk the unordered pairs of n sorted positions as a folded table.
 
-    Yields (i, d) with d[r, c] = pos[i + 1 + c] - pos[i + r], a new array
-    the caller may overwrite: rows i.. of the pair table against every later
-    column. Every pair j > i has d > 0
-    and lies in exactly one block; the entries with c < r are no pairs and
-    have d <= 0. A block holds at most PAIR_BUDGET entries (at least one
-    row) and at most half as many rows as columns, so at most a quarter of
-    it is no pairs.
+    Row g of the table is |pos[(c + g) % n] - pos[c]| for c = 0..n-1: the
+    pair (c, c + g), or (c + g - n, c) once c + g wraps. Rows 1..n//2 hold
+    every pair i < j exactly once, in row j - i or n - (j - i). For even n,
+    the second half of row n/2 repeats its first half and is zeroed, so
+    every pair entry is positive and those repeats are the only zeros.
+
+    Yields (g, d) with d[r] the table row g + r, from row n//2 down to row
+    1, in blocks of at most `rows` rows and at most PAIR_BUDGET entries (at
+    least one row). Every d is a view of one reused int64 buffer, valid
+    until the next block is asked for.
     """
     n = pos.size
-    i = 0
-    while i < n - 1:
-        cols = n - 1 - i
-        rows = max(1, min(PAIR_BUDGET // cols, cols // 2))
-        yield i, pos[i + 1:] - pos[i:i + rows, None]
-        i += rows
+    half = n // 2
+    if half == 0:
+        return
+    rows = min(half, max(1, PAIR_BUDGET // n), rows or half)
+    buf = np.empty((rows, n), dtype=np.int64)
+    ext = np.concatenate([pos, pos[:-1]])
+    # wrapped[g, c] = ext[g + c] = pos[(c + g) % n], a view of ext
+    wrapped = np.ndarray((n, n), ext.dtype, buffer=ext, strides=(ext.itemsize,) * 2)
+    top = half
+    while top > 0:
+        g = max(1, top - rows + 1)
+        d = buf[:top + 1 - g]
+        np.subtract(wrapped[g:top + 1], pos, out=d)
+        np.abs(d, out=d)
+        if top == half and n % 2 == 0:
+            d[-1, half:] = 0
+        yield g, d
+        top = g - 1
 
 
 def _pair_counts(pos):
-    # counts[d] = number of ordered pairs with difference d >= 0
+    # counts[d] = number of ordered pairs with difference d >= 0; the
+    # zeroed repeat of an even row lands at lag 0, which is set after
     A = int(pos[-1])
     counts = np.zeros(A + 1, dtype=np.int64)
-    counts[0] = pos.size
     for _, d in pair_blocks(pos):
-        counts += np.bincount(d[d > 0], minlength=A + 1)
+        counts += np.bincount(d.ravel(), minlength=A + 1)
+    counts[0] = pos.size
     return counts
 
 

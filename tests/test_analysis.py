@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fracarray.analysis
 import fracarray.core
 from fracarray import (
     SensorArray,
@@ -306,36 +307,86 @@ def _middle_only(elems):
     return [g for g, f in zip(elems, oracle_essential(elems)) if f and g not in ends]
 
 
-def _assert_pair_route_matches_oracles(elems):
-    assert economy(SensorArray(elems)) == oracle_economy(elems)
+def _assert_pair_route_matches_oracles(elems, monkeypatch=None):
+    expected = oracle_economy(elems)
+    assert economy(SensorArray(elems)) == expected
+    if monkeypatch is not None:
+        # one folded row per block from four sensors up, so the economy
+        # walk can stop between blocks
+        with monkeypatch.context() as m:
+            m.setattr(fracarray.core, "PAIR_BUDGET", 7)
+            assert economy(SensorArray(elems)) == expected
+
+
+def _spy_walks(monkeypatch):
+    # the first row of every block economy's walk takes, one list per walk
+    walks = []
+
+    def spy(pos, rows=None):
+        walks.append([])
+        for g, d in fracarray.core.pair_blocks(pos, rows):
+            walks[-1].append(g)
+            yield g, d
+
+    monkeypatch.setattr(fracarray.analysis, "pair_blocks", spy)
+    return walks
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_fast_essentialness_equals_removal_definition(seed):
+def test_fast_essentialness_equals_removal_definition(seed, monkeypatch):
     rng = np.random.default_rng(seed)
-    _assert_pair_route_matches_oracles(random_elements(rng, 14))
+    _assert_pair_route_matches_oracles(random_elements(rng, 14), monkeypatch)
 
 
-def test_fast_essentialness_on_pool(small_pool):
+def test_fast_essentialness_on_pool(small_pool, monkeypatch):
     middles = 0
     for elems in small_pool:
         _assert_pair_route_matches_oracles(elems)
         middles += len(elems) > 1 and bool(_middle_only(elems))
     assert middles > 0
+    monkeypatch.setattr(fracarray.core, "PAIR_BUDGET", 7)
+    walks = _spy_walks(monkeypatch)
+    for elems in small_pool:
+        assert economy(SensorArray(elems)) == oracle_economy(elems)
+    # some walks stop before their last block, row 1
+    assert any(w and w[-1] > 1 for w in walks)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_pair_route_on_random_arrays_with_inessential_sensors(seed):
-    # sparse draws (12-16 sensors over apertures 30-60) so that some
-    # sensors are inessential and some are essential only as a middle
+def test_economy_stops_once_every_sensor_ends_a_weight_one_pair(monkeypatch):
+    # (0,1,4,6)^4: 256 sensors, every one ending a weight-1 pair; the walk
+    # is 8 blocks of 16 rows, from row 128 down
+    arr = expand(SensorArray((0, 1, 4, 6)), 4)
+    walks = _spy_walks(monkeypatch)
+    assert economy(arr) == oracle_economy(arr.elements)
+    (starts,) = walks
+    assert starts[0] == 113 and 1 < starts[-1]
+
+
+def _sparse_with_middle_only(seed):
+    # sparse draws (12-16 sensors over apertures 30-60) until some sensors
+    # are inessential and some are essential only as a middle
     rng = np.random.default_rng(700 + seed)
     while True:
         span = int(rng.integers(30, 61))
         inner = rng.choice(np.arange(1, span), int(rng.integers(10, 15)), replace=False)
         elems = tuple(sorted({0, span, *map(int, inner)}))
         if not all(oracle_essential(elems)) and _middle_only(elems):
-            break
-    _assert_pair_route_matches_oracles(elems)
+            return elems
+
+
+def test_economy_walks_every_block_for_a_middle_only_sensor(monkeypatch):
+    # a sensor that is essential only as the middle of a weight-2 triple
+    # ends no weight-1 pair, so the stop never fires
+    monkeypatch.setattr(fracarray.core, "PAIR_BUDGET", 7)
+    elems = _sparse_with_middle_only(0)
+    walks = _spy_walks(monkeypatch)
+    assert economy(SensorArray(elems)) == oracle_economy(elems)
+    assert walks == [list(range(len(elems) // 2, 0, -1))]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pair_route_on_random_arrays_with_inessential_sensors(seed, monkeypatch):
+    _assert_pair_route_matches_oracles(_sparse_with_middle_only(seed), monkeypatch)
 
 
 @pytest.mark.parametrize("arr", (
@@ -347,24 +398,53 @@ def test_pair_route_on_reference_arrays(arr):
     _assert_pair_route_matches_oracles(arr.elements)
 
 
+def _assert_folded_walk(elems, rows=None):
+    # every pair i < j in exactly one block entry, at its lag; the only zero
+    # entries are the repeated second half of row n/2 for even n
+    pos = np.asarray(elems, dtype=np.int64)
+    n = pos.size
+    views = list(fracarray.core.pair_blocks(pos, rows))
+    assert all(d.base is views[0][1].base for _, d in views)  # one reused buffer
+    blocks = [(g, d.copy()) for g, d in fracarray.core.pair_blocks(pos, rows)]
+    top, pairs, zeros = n // 2, [], 0
+    for g, d in blocks:
+        assert g + d.shape[0] - 1 == top >= g >= 1
+        assert d.size <= fracarray.core.PAIR_BUDGET or d.shape[0] == 1
+        top = g - 1
+        for r, c in np.ndindex(d.shape):
+            if d[r, c] == 0:
+                assert n % 2 == 0 and g + r == n // 2 and c >= n // 2
+                zeros += 1
+                continue
+            i, j = sorted((c, (c + g + r) % n))
+            assert d[r, c] == pos[j] - pos[i]
+            pairs.append((i, j))
+    assert top == 0
+    assert zeros == (n // 2 if n % 2 == 0 else 0)
+    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return blocks
+
+
 def test_pair_route_across_chunk_boundaries(monkeypatch):
-    # a tiny budget splits even small arrays into many pair blocks
+    # a tiny budget gives one folded row per block from four sensors up
     monkeypatch.setattr(fracarray.core, "PAIR_BUDGET", 7)
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        elems = random_elements(rng, 40, min_aperture=10)
-        arr = SensorArray(elems)
-        pos = arr.as_array()
-        blocks = list(fracarray.core.pair_blocks(pos))
-        assert len(blocks) > 1
-        pairs = sorted((i + r, i + 1 + c) for i, d in blocks for r, c in zip(*np.nonzero(d > 0)))
+    drawn = [random_elements(rng, 40, min_aperture=10) for _ in range(20)]
+    assert {len(e) % 2 for e in drawn} == {0, 1}
+    for elems in [(0,), (0, 3), (0, 1, 5), *drawn]:
         n = len(elems)
-        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert all(d.size <= 7 or d.shape[0] == 1 for _, d in blocks)
+        blocks = _assert_folded_walk(elems)
+        assert len(blocks) == n // 2
+        with monkeypatch.context() as m:
+            m.setattr(fracarray.core, "PAIR_BUDGET", 4_000_000)
+            for rows in (None, 1, 2, 3):
+                _assert_folded_walk(elems, rows)
+        # the zeroed repeat adds nothing: lag 0 counts the n sensors
+        arr = SensorArray(elems)
         w = oracle_weight_map(elems)
         assert difference_coarray(arr).counts.tolist() == [
             w.get(lag, 0) for lag in range(arr.aperture + 1)]
-        _assert_pair_route_matches_oracles(elems)
+        assert economy(arr) == oracle_economy(elems)
 
 
 @pytest.mark.parametrize("arr", (
@@ -379,12 +459,13 @@ def test_economy_of_profile_equals_economy_of_array(arr):
 
 
 def test_laws_one_order_higher():
-    # (0,1,4,6)^6: N = 4096, aperture 2,413,404; the pair pass spans
-    # several blocks at this size
+    # (0,1,4,6)^6: N = 4096, aperture 2,413,404; the folded walk over its
+    # 2,048 rows spans several budget-sized blocks at this size
     gen = SensorArray((0, 1, 4, 6))
     big = expand(gen, 6)
     prof = difference_coarray(big)
-    assert len(list(fracarray.core.pair_blocks(big.as_array()))) > 1
+    starts = [g for g, _ in fracarray.core.pair_blocks(big.as_array())]
+    assert len(starts) > 1 and starts[-1] == 1
     assert prof.hole_free and prof.dof == 13 ** 6
     w = fractal_weight(gen, 6)
     assert w.dtype == prof.counts.dtype and np.array_equal(w, prof.counts)

@@ -276,8 +276,13 @@ def test_search_bad_fragility_string(capsys):
 
 
 def test_search_guard_needs_force(capsys):
-    assert main(["search", "--max-aperture", str(APERTURE_GUARD + 1)]) == 2
-    assert "force" in capsys.readouterr().err
+    # the CLI names its --force flag; the library keeps naming force=True
+    A = APERTURE_GUARD + 1
+    assert _exits_two_with_error(["search", "--max-aperture", str(A)], capsys) == (
+        f"error: aperture {A} exceeds the exhaustive-search guard {APERTURE_GUARD}; "
+        "pass --force\n")
+    with pytest.raises(ValueError, match="pass force=True"):
+        solve_p1(DesignConstraints(max_aperture=A))
 
 
 def test_search_rejects_aperture_beyond_a_mask(capsys):
