@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import SensorArray
+from .fractal import cantor
 
 # Known minimum-aperture hole-free configurations (minimum redundancy) and
 # minimum-aperture all-distinct-difference configurations (minimum hole,
@@ -85,6 +86,7 @@ _BUILDERS = {
     "coprime": (coprime, ("m", "n")),
     "mra": (mra, ("n",)),
     "mha": (mha, ("n",)),
+    "cantor": (cantor, ("r",)),
 }
 
 

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: analyze, expand, cantor, baseline, search, simulate, compare.
+Subcommands: analyze, expand, baseline, search, simulate, compare.
 Every file the tool writes gets a sidecar <file>.manifest.json recording
 the command line, resolved configuration, version and output digests, so a
 run can be reproduced byte for byte from its manifest.
@@ -25,7 +25,7 @@ from .baselines import _BUILDERS, BaselineSpec, build_baseline
 from .core import ArrayFormatError, SensorArray, difference_coarray, is_symmetric, load_array
 from .coupling import CouplingModel, leakage_from_profile
 from .doa import DEFAULT_GRID, Scenario, equally_spaced_thetas, run_sweep
-from .fractal import MAX_ORDER, cantor, expand
+from .fractal import MAX_ORDER, expand
 from .search import APERTURE_GUARD, MAX_SPAN, DesignConstraints, solve_p1
 
 
@@ -98,7 +98,7 @@ def _coupling_from_args(args):
 
 
 def _parse_baseline_token(token):
-    # e.g. ula:5  nested:4,4  coprime:3,4  mra:10  mha:4
+    # e.g. ula:5  nested:4,4  coprime:3,4  mra:10  mha:4  cantor:4
     kind, sep, rest = token.partition(":")
     if not sep:
         raise ArrayFormatError(f"baseline spec {token!r} needs kind:params")
@@ -222,29 +222,20 @@ def _cmd_analyze(args, argv):
 
 
 def _cmd_expand(args, argv):
-    if bool(args.generator) == bool(args.generators):
-        raise ArrayFormatError("give exactly one of a generator file or --generators")
-    paths = [p for p in args.generators.split(",") if p] if args.generators else [args.generator]
-    gens = [load_array(p) for p in paths]
-    # one file is reused at every order, as a positional generator is
+    if args.order > args.max_order:
+        # expand raises here too, but its message names the library's max_order
+        raise ArrayFormatError(f"order {args.order} exceeds the safety cap {args.max_order}; "
+                               "pass --max-order to override")
+    gens = [load_array(p) for p in args.generators]
+    # one file is reused at every order; several give one generator per order
     out = expand(gens[0] if len(gens) == 1 else gens, args.order, max_order=args.max_order)
     if args.name:
         out = SensorArray(out.elements, name=args.name)
     return _emit_array(out, args, argv)
 
 
-def _cmd_cantor(args, argv):
-    return _emit_array(cantor(args.order), args, argv)
-
-
 def _cmd_baseline(args, argv):
-    params = []
-    for name in _BUILDERS[args.kind][1]:
-        val = getattr(args, name)
-        if val is None:
-            raise ArrayFormatError(f"baseline {args.kind} needs --{name}")
-        params.append(val)
-    return _emit_array(build_baseline(BaselineSpec(args.kind, tuple(params))), args, argv)
+    return _emit_array(_parse_baseline_token(args.spec), args, argv)
 
 
 def _cmd_search(args, argv):
@@ -294,31 +285,23 @@ def _cmd_search(args, argv):
 
 
 def _cmd_simulate(args, argv):
-    if args.threads is None:
-        env = os.environ.get("FRACARRAY_THREADS", "1")
-        try:
-            args.threads = int(env)
-        except ValueError:
-            raise ArrayFormatError(f"FRACARRAY_THREADS={env!r} is not an integer") from None
     if args.threads < 1:
         raise ArrayFormatError(f"thread count must be at least 1, got {args.threads}")
     if bool(args.array) == bool(args.baseline):
         raise ArrayFormatError("give exactly one of --array or --baseline")
-    if args.coupling_phases == "random" and args.coupling_c1_phase is not None:
-        raise ArrayFormatError("--coupling-c1-phase needs --coupling-phases fixed; "
-                               "--coupling-phases random draws every phase")
-    # the manifest config records the phase the fixed mode would use
-    if args.coupling_c1_phase is None:
-        args.coupling_c1_phase = math.pi / 3
+    coupled = args.sweep == "coupling" or args.coupling_c1_mag > 0
+    if args.coupling_c1_phase is not None and not coupled:
+        raise ArrayFormatError("--coupling-c1-phase needs coupling: a --coupling-c1-mag "
+                               "above 0 or --sweep coupling")
     array = load_array(args.array) if args.array else _parse_baseline_token(args.baseline)
     lo, hi = _parse_range(args.range)
     thetas = equally_spaced_thetas(args.sources, lo, hi)
     axis = {"coupling": "coupling_c1_mag", "failure": "failure_probability",
             "snr": "snr_db"}[args.sweep]
-    coupling = None
-    if axis == "coupling_c1_mag" or args.coupling_c1_mag > 0:
-        coupling = replace(_coupling_from_args(args), c1_phase=args.coupling_c1_phase,
-                           phase_mode=args.coupling_phases)
+    # a given phase fixes the progression; without one every phase is drawn
+    phases = ({"phase_mode": "random"} if args.coupling_c1_phase is None
+              else {"c1_phase": args.coupling_c1_phase})
+    coupling = replace(_coupling_from_args(args), **phases) if coupled else None
     base = Scenario(
         array=array,
         thetas=thetas,
@@ -411,26 +394,19 @@ def _build_parser():
     p.set_defaults(func=_cmd_analyze)
 
     p = subs.add_parser("expand", help="fractal expansion of one or more generators")
-    p.add_argument("generator", nargs="?", help="generator JSON file")
-    p.add_argument("--generators", metavar="A,B,...", help="comma-separated generator files, one per order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("generators", nargs="+", metavar="FILE",
+                   help="generator JSON file, reused at every order; several give one per order")
+    p.add_argument("--order", type=int, required=True,
+                   help="expansion order, at most the file count when several are given")
     p.add_argument("--max-order", type=int, default=MAX_ORDER, help="safety cap on the order")
     p.add_argument("--name", help="name for the output array")
     p.add_argument("--out", metavar="PATH", help="write the array JSON here instead of stdout")
     p.set_defaults(func=_cmd_expand)
 
-    p = subs.add_parser("cantor", help="Cantor array of a given order")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=_cmd_cantor)
-
-    p = subs.add_parser("baseline", help="standard comparison arrays")
-    p.add_argument("--kind", required=True, choices=tuple(_BUILDERS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--out", metavar="PATH")
+    p = subs.add_parser("baseline", help="standard comparison arrays and Cantor arrays")
+    kinds = " ".join(f"{k}:{','.join(names)}" for k, (_, names) in _BUILDERS.items())
+    p.add_argument("spec", metavar="KIND:P,P", help=f"one of {kinds}, e.g. nested:4,4")
+    p.add_argument("--out", metavar="PATH", help="write the array JSON here instead of stdout")
     p.set_defaults(func=_cmd_baseline)
 
     p = subs.add_parser("search", help="exhaustive minimum-sensor design search")
@@ -461,17 +437,15 @@ def _build_parser():
     p.add_argument("--grid", required=True, help="sweep grid, start:stop:step or comma list")
     p.add_argument("--grid-size", type=int, default=DEFAULT_GRID, help="direction grid resolution")
     p.add_argument("--seed", type=int, default=0)
-    # default: $FRACARRAY_THREADS or 1, read when the command runs
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads; outputs do not depend on the count")
     # coupling stays off in snr/failure sweeps unless a magnitude is given
     _add_coupling_flags(p, default_mag=0.0)
     # only simulate draws coupling matrices: leakage, all that search and
     # compare read, cancels the phases
     p.add_argument("--coupling-c1-phase", type=float, metavar="RAD",
-                   help="phase of the unit-separation coefficient; fixed mode only "
-                        "(default pi/3)")
-    p.add_argument("--coupling-phases", choices=("fixed", "random"), default="random",
-                   help="fixed phase progression or uniform random phases")
+                   help="fixes the phase progression RAD - (i-1) pi/8; "
+                        "without it every phase is drawn at random")
     p.add_argument("--out", metavar="PATH", help="write sweep CSV here instead of stdout")
     p.add_argument("--dump-trials", metavar="PATH", help="write per-trial JSONL here")
     p.set_defaults(func=_cmd_simulate)

@@ -47,4 +47,7 @@ def expand(generators, r, max_order=MAX_ORDER):
 def cantor(r):
     """Cantor array of order r: the expansion of {0, 1}, whose central ULA
     has M = 3, so 2^r sensors spanning (3^r - 1) / 2."""
+    if r > MAX_ORDER:
+        # expand's message would name a max_order that cantor does not take
+        raise ValueError(f"order {r} exceeds the safety cap {MAX_ORDER}")
     return SensorArray(expand(SensorArray((0, 1)), r).elements, name=f"cantor({r})")

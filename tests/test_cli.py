@@ -1,22 +1,32 @@
+import argparse
 import hashlib
 import json
 import platform
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracarray import (
     APERTURE_GUARD,
+    CouplingModel,
     DesignConstraints,
+    Scenario,
     SensorArray,
+    cantor,
     difference_coarray,
     economy,
+    equally_spaced_thetas,
     expand,
+    mra,
+    nested,
     product_beampattern,
+    run_sweep,
     solve_p1,
 )
 from fracarray import cli
+from fracarray.baselines import _BUILDERS
 from fracarray.cli import _parse_grid, main
 from conftest import S_ELEMS, oracle_solve_p1
 
@@ -47,7 +57,7 @@ def test_subcommand_required():
 
 
 def test_cantor_stdout(capsys):
-    assert main(["cantor", "--order", "2"]) == 0
+    assert main(["baseline", "cantor:2"]) == 0
     out, err = capsys.readouterr()
     doc = json.loads(out)
     assert doc["elements"] == [0, 1, 3, 4]
@@ -56,13 +66,13 @@ def test_cantor_stdout(capsys):
 
 def test_cantor_out_file_with_manifest(tmp_path, capsys):
     out = tmp_path / "c3.json"
-    assert main(["cantor", "--order", "3", "--out", str(out)]) == 0
+    assert main(["baseline", "cantor:3", "--out", str(out)]) == 0
     assert "wrote" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert doc["elements"] == [0, 1, 3, 4, 9, 10, 12, 13]
     manifest = json.loads((tmp_path / "c3.json.manifest.json").read_text())
     assert manifest["tool"] == "fracarray"
-    assert manifest["command"][:2] == ["fracarray", "cantor"]
+    assert manifest["command"][:3] == ["fracarray", "baseline", "cantor:3"]
     assert manifest["outputs"][0]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
     assert manifest["outputs"][0]["bytes"] == out.stat().st_size
     assert manifest["environment"] == {"python": platform.python_version(),
@@ -166,25 +176,30 @@ def test_expand_multi_generators(tmp_path):
     a = _write(tmp_path / "a.json", (0, 1))
     b = _write(tmp_path / "b.json", (0, 1, 2))
     out = tmp_path / "m.json"
-    assert main(["expand", "--generators", f"{a},{b}", "--order", "2",
-                 "--name", "combo", "--out", str(out)]) == 0
+    assert main(["expand", a, b, "--order", "2", "--name", "combo", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     want = expand([SensorArray((0, 1)), SensorArray((0, 1, 2))], 2)
     assert doc["elements"] == list(want.elements)
     assert doc["name"] == "combo"
 
 
-def test_expand_requires_a_generator(tmp_path, capsys):
-    assert main(["expand", "--order", "2"]) == 2
-    gen = _write(tmp_path / "g.json", (0, 1, 4, 6))
-    err = _exits_two_with_error(["expand", gen, "--generators", f"{gen},{gen}",
-                                 "--order", "2"], capsys)
-    assert "exactly one" in err
+def test_expand_requires_a_generator(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--order", "2"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: FILE" in capsys.readouterr().err
 
 
 def test_expand_order_cap_and_override(tmp_path, capsys):
+    # each message names a way out that exists: expand its --max-order flag,
+    # Cantor arrays none, and the library its max_order for its own callers
     gen = _write(tmp_path / "g.json", (0, 1))
-    assert main(["expand", gen, "--order", "9"]) == 2
+    assert _exits_two_with_error(["expand", gen, "--order", "9"], capsys) == (
+        "error: order 9 exceeds the safety cap 8; pass --max-order to override\n")
+    assert _exits_two_with_error(["baseline", "cantor:9"], capsys) == (
+        "error: order 9 exceeds the safety cap 8\n")
+    with pytest.raises(ValueError, match="pass max_order to override"):
+        expand(SensorArray((0, 1)), 9)
     assert main(["expand", gen, "--order", "9", "--max-order", "9"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["elements"]) == 512
@@ -210,15 +225,15 @@ def test_expand_then_analyze_matches_library(tmp_path, capsys):
 
 
 def test_baseline_build(capsys):
-    assert main(["baseline", "--kind", "nested", "--n1", "4", "--n2", "4"]) == 0
+    assert main(["baseline", "nested:4,4"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["elements"] == [0, 1, 2, 3, 4, 9, 14, 19]
     assert doc["name"] == "NA(4,4)"
 
 
 def test_baseline_missing_parameter(capsys):
-    assert main(["baseline", "--kind", "nested", "--n1", "4"]) == 2
-    assert "--n2" in capsys.readouterr().err
+    assert main(["baseline", "nested:4"]) == 2
+    assert "n2" in capsys.readouterr().err
 
 
 def test_search_small_feasible(capsys):
@@ -333,31 +348,19 @@ def test_simulate_threads_match_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_thread_env_default(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(SIM_BASE + ["--out", str(a)]) == 0
-    monkeypatch.setenv("FRACARRAY_THREADS", "3")
-    assert main(SIM_BASE + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_simulate_bad_thread_env(monkeypatch, capsys):
-    # the variable is read only by simulate, and a bad value is an input error
+    # only --threads sets the thread count; the environment is not read
+    assert main(SIM_BASE) == 0
+    want = capsys.readouterr()
     monkeypatch.setenv("FRACARRAY_THREADS", "abc")
-    assert main(["cantor", "--order", "2"]) == 0
-    capsys.readouterr()
-    assert main(SIM_BASE) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "FRACARRAY_THREADS" in err
+    assert main(SIM_BASE) == 0
+    assert capsys.readouterr() == want
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-def test_simulate_rejects_thread_count_below_one(threads, monkeypatch, capsys):
-    assert main(SIM_BASE + ["--threads", threads]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    monkeypatch.setenv("FRACARRAY_THREADS", threads)
-    assert main(SIM_BASE) == 2
-    assert capsys.readouterr().err.startswith("error:")
+def test_simulate_rejects_thread_count_below_one(threads, capsys):
+    assert _exits_two_with_error(SIM_BASE + ["--threads", threads], capsys) == (
+        f"error: thread count must be at least 1, got {threads}\n")
 
 
 def test_simulate_dump_trials(tmp_path, capsys):
@@ -515,6 +518,7 @@ def test_compare_validation(capsys):
 
 @pytest.mark.parametrize("command", [["search", "--max-aperture", "6"],
                                      ["compare", "--baselines", "ula:5"]])
+# no subcommand takes --coupling-phases: in simulate a given phase fixes them
 @pytest.mark.parametrize("flag", [["--coupling-phases", "random"],
                                   ["--coupling-c1-phase", "1"], ["--seed", "3"]])
 def test_search_and_compare_take_no_phase_or_seed_flags(command, flag, capsys):
@@ -525,37 +529,100 @@ def test_search_and_compare_take_no_phase_or_seed_flags(command, flag, capsys):
 
 
 def test_simulate_takes_phase_and_seed_flags(capsys):
-    assert main(SIM_BASE + ["--coupling-c1-mag", "0.2", "--coupling-phases", "fixed",
-                            "--coupling-c1-phase", "1", "--seed", "3"]) == 0
-
-
-@pytest.mark.parametrize("phases", [[], ["--coupling-phases", "random"]])
-def test_simulate_rejects_a_phase_with_random_phases(phases, tmp_path, capsys):
-    out = tmp_path / "sim.csv"
     assert main(SIM_BASE + ["--coupling-c1-mag", "0.2", "--coupling-c1-phase", "1",
-                            "--out", str(out)] + phases) == 2
-    err = capsys.readouterr().err
-    assert "--coupling-c1-phase" in err and "--coupling-phases" in err
-    assert not out.exists()
+                            "--seed", "3"]) == 0
 
 
-def test_simulate_fixed_phase_defaults_to_pi_over_three(tmp_path):
+@pytest.mark.parametrize("coupling", [[], ["--coupling-c1-mag", "0"]])
+def test_simulate_rejects_a_phase_without_coupling(coupling, tmp_path, capsys):
+    # a phase is never silently ignored
+    out, dump = tmp_path / "sim.csv", tmp_path / "trials.jsonl"
+    assert _exits_two_with_error(SIM_BASE + coupling + [
+        "--coupling-c1-phase", "1", "--out", str(out), "--dump-trials", str(dump)], capsys) == (
+        "error: --coupling-c1-phase needs coupling: a --coupling-c1-mag above 0 "
+        "or --sweep coupling\n")
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def _sweep_csv(points):
+    return "axis_value,rmse,success_count,trial_count\n" + "".join(
+        f"{p.value:.12g},{'' if p.rmse is None else f'{p.rmse:.12g}'},"
+        f"{p.success_count},{p.trial_count}\n" for p in points)
+
+
+def test_simulate_phase_fixes_the_progression(tmp_path):
     common = ["simulate", "--baseline", "mra:4", "--sources", "2", "--snapshots", "100",
-              "--trials", "3", "--grid-size", "1024", "--sweep", "coupling", "--grid", "0.3",
-              "--coupling-phases", "fixed"]
+              "--trials", "3", "--grid-size", "1024", "--sweep", "coupling", "--grid", "0.3"]
     csv = {}
-    for key, phase in (("default", []), ("pi/3", ["--coupling-c1-phase", repr(np.pi / 3)]),
+    for key, phase in (("random", []), ("pi/3", ["--coupling-c1-phase", repr(np.pi / 3)]),
                        ("1", ["--coupling-c1-phase", "1"])):
         csv[key] = tmp_path / f"{len(csv)}.csv"
         assert main(common + phase + ["--out", str(csv[key])]) == 0
-    assert csv["default"].read_bytes() == csv["pi/3"].read_bytes()
-    assert csv["default"].read_bytes() != csv["1"].read_bytes()
+        csv[key] = csv[key].read_text()
+    base = Scenario(array=mra(4), thetas=equally_spaced_thetas(2, -0.45, 0.45),
+                    snapshots=100, snr_db=0.0, trials=3, seed=0, grid_size=1024,
+                    coupling=CouplingModel(c1_magnitude=0.0, phase_mode="fixed"))
+    points = run_sweep(base, "coupling_c1_mag", [0.3])
+    assert csv["pi/3"] == _sweep_csv(points)
+    random = replace(base, coupling=replace(base.coupling, phase_mode="random"))
+    assert csv["random"] == _sweep_csv(run_sweep(random, "coupling_c1_mag", [0.3]))
+    assert len({csv["random"], csv["pi/3"], csv["1"]}) == 3
 
 
-def test_unknown_flag_exits_two():
+def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["cantor", "--order", "2", "--frobnicate"])
+        main(["baseline", "cantor:2", "--frobnicate"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+
+
+# every settable value of every subcommand, -h aside: a second spelling of
+# an input cannot return unnoticed
+CLI_SURFACE = {
+    "analyze": {"array", "--json", "--beampattern", "--samples", "--normalize"},
+    "expand": {"generators", "--order", "--max-order", "--name", "--out"},
+    "baseline": {"spec", "--out"},
+    "search": {"--max-aperture", "--symmetric", "--hole-free", "--max-fragility",
+               "--max-leakage", "--exact-aperture", "--coupling-q", "--coupling-c1-mag",
+               "--all-solutions", "--force", "--json"},
+    "simulate": {"--array", "--baseline", "--sources", "--range", "--snapshots", "--trials",
+                 "--snr", "--sweep", "--grid", "--grid-size", "--seed", "--threads",
+                 "--coupling-q", "--coupling-c1-mag", "--coupling-c1-phase", "--out",
+                 "--dump-trials"},
+    "compare": {"--arrays", "--baselines", "--metrics", "--coupling-q", "--coupling-c1-mag",
+                "--json", "--csv"},
+}
+
+
+def test_cli_surface_has_one_spelling_per_input(capsys):
+    subs = next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(CLI_SURFACE)
+    for name, sub in subs.choices.items():
+        # a BooleanOptionalAction's --no- form sets the same value
+        got = {a.option_strings[0] if a.option_strings else a.dest
+               for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert got == CLI_SURFACE[name], name
+    assert sum(len(v) for v in CLI_SURFACE.values()) == 47
+    for name in CLI_SURFACE:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        if name == "baseline":
+            assert all(f"{kind}:" in text for kind in _BUILDERS)
+
+
+def test_compare_takes_cantor_baselines(tmp_path):
+    js = tmp_path / "t.json"
+    assert main(["compare", "--baselines", "cantor:3;nested:4,4", "--metrics", ALL_METRICS,
+                 "--json", str(js)]) == 0
+    want = []
+    for arr in (cantor(3), nested(4, 4)):
+        values = cli._measure(arr, CouplingModel())
+        values["fragility"] = float(values["fragility"])
+        want.append({"array": arr.name, **{m: values[m] for m in ALL_METRICS.split(",")}})
+    assert json.loads(js.read_text()) == want
 
 
 # Golden outputs captured before analyze and compare shared one metric
@@ -647,9 +714,8 @@ def test_compare_golden_output(tmp_path, capsys):
 GEN_NAME = "Ω-génér"
 WRITTEN_FILES = [
     (["expand", "{d}/g.json", "--order", "2", "--out", "{d}/g2.json"], "g2.json", ""),
-    (["cantor", "--order", "3", "--out", "{d}/c3.json"], "c3.json", ""),
-    (["baseline", "--kind", "nested", "--n1", "2", "--n2", "3", "--out", "{d}/na.json"],
-     "na.json", ""),
+    (["baseline", "cantor:3", "--out", "{d}/c3.json"], "c3.json", ""),
+    (["baseline", "nested:2,3", "--out", "{d}/na.json"], "na.json", ""),
     (["analyze", "{d}/g.json", "--json", "{d}/report.json"], "report.json", ""),
     (["analyze", "{d}/g.json", "--beampattern", "{d}/bp.csv", "--samples", "16"], "bp.csv", ""),
     (["search", "--max-aperture", "6", "--max-fragility", "1", "--max-leakage", "1",
