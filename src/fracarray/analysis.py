@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import PAIR_BUDGET, CoarrayProfile, difference_coarray, pair_blocks
+from .core import CoarrayProfile, difference_coarray, pair_blocks
 
 
 def fractal_weight(generator, r):
@@ -59,25 +59,16 @@ class Beampattern:
     values: np.ndarray
 
 
-def _weight_dtft(w, om):
-    # cosine form keeps the result exactly real; chunked over the omega rows
-    # so the samples x lags table stays bounded for large apertures
-    lags = np.arange(1, w.size)
-    wf = np.asarray(w[1:], float)
-    sums = np.empty(om.size)
-    step = max(1, PAIR_BUDGET // max(lags.size, 1))
-    for i in range(0, om.size, step):
-        sums[i:i + step] = (wf[None, :] * np.cos(np.outer(om[i:i + step], lags))).sum(axis=1)
-    return w[0] + 2.0 * sums
-
-
-def _grid_period(om):
-    """L when om equals np.linspace(-pi, pi, S) exactly, with L = max(S - 1, 1):
-    the grid omega_k = -pi + 2 pi k / L that analyze --beampattern samples.
-    None for any other frequencies."""
+def _grid(omegas):
+    """(om, L, k) for omegas equal to np.linspace(-pi, pi, S) exactly, the
+    grid omega_k = -pi + 2 pi k / L that analyze --beampattern samples, with
+    L = max(S - 1, 1) and k the per-sample index into a period of L; the
+    last sample repeats the first. Any other frequencies raise ValueError."""
+    om = np.atleast_1d(np.asarray(omegas, dtype=float))
     if om.ndim != 1 or not np.array_equal(om, np.linspace(-np.pi, np.pi, om.size)):
-        return None
-    return max(om.size - 1, 1)
+        raise ValueError("omegas must be exactly np.linspace(-pi, pi, S) for some S")
+    L = max(om.size - 1, 1)
+    return om, L, np.arange(om.size) % L
 
 
 def _grid_dtft(w, L):
@@ -97,25 +88,18 @@ def _grid_dtft(w, L):
 
 
 def beampattern(array, omegas):
-    """Beampattern sum_m w(m) exp(-j w m) at the given angular frequencies
-    (radians per unit spacing).
+    """Beampattern sum_m w(m) exp(-j w m) on the grid np.linspace(-pi, pi, S)
+    that analyze --beampattern samples; any other omegas raise ValueError.
 
     array is a SensorArray, or its CoarrayProfile when the coarray is
     already built; the profile is then reused instead of recomputed.
 
-    On the grid np.linspace(-pi, pi, S) that analyze --beampattern samples,
-    one FFT of the weight map gives every sample in O(A + S log S) for
-    aperture A; the last sample repeats the first. Any other frequencies
-    take the direct cosine sum, O(S * A).
+    One FFT of the weight map gives every sample in O(A + S log S) for
+    aperture A.
     """
+    om, L, k = _grid(omegas)
     prof = array if isinstance(array, CoarrayProfile) else difference_coarray(array)
-    om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    L = _grid_period(om)
-    if L is None:
-        values = _weight_dtft(prof.counts, om)
-    else:
-        values = _grid_dtft(prof.counts, L)[np.arange(om.size) % L]
-    return Beampattern(om, values)
+    return Beampattern(om, _grid_dtft(prof.counts, L)[k])
 
 
 def product_beampattern(generator, r, omegas):
@@ -124,25 +108,19 @@ def product_beampattern(generator, r, omegas):
     central-ULA size. Equals the direct transform of the expanded array
     under the same no-collision proviso as fractal_weight.
 
-    On the np.linspace(-pi, pi, S) grid, factor i at sample k is the
-    generator's grid value at index k * M^i mod L: M is odd, so the -pi
-    offset keeps its (-1)^d sign under the stretch. One FFT of the
-    generator serves every order."""
+    omegas must be the np.linspace(-pi, pi, S) grid, as for beampattern.
+    Factor i at sample k is the generator's grid value at index k * M^i
+    mod L: M is odd, so the -pi offset keeps its (-1)^d sign under the
+    stretch. One FFT of the generator serves every order."""
     if r < 0:
         raise ValueError("order must be non-negative")
+    om, L, k = _grid(omegas)
     prof = difference_coarray(generator)
     M = prof.ula_size
-    om = np.atleast_1d(np.asarray(omegas, dtype=float))
+    gen = _grid_dtft(prof.counts, L)
     vals = np.ones_like(om)
-    L = _grid_period(om)
-    if L is None:
-        for i in range(r):
-            vals = vals * _weight_dtft(prof.counts, om * M ** i)
-    else:
-        gen = _grid_dtft(prof.counts, L)
-        k = np.arange(om.size) % L
-        for i in range(r):
-            vals = vals * gen[k * pow(M, i, L) % L]
+    for i in range(r):
+        vals = vals * gen[k * pow(M, i, L) % L]
     return Beampattern(om, vals)
 
 

@@ -468,7 +468,16 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        code = args.func(args, argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the stdout reader went away: point fd 1 at devnull so the flush at
+        # exit cannot raise again, and exit as SIGPIPE would (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

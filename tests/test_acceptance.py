@@ -68,7 +68,7 @@ def test_a02_hole_free_expansion_power_law(hole_free_pool):
 
 def test_a03_weight_convolution_and_beampattern_product():
     rng = np.random.default_rng(2025)
-    om = np.linspace(-math.pi, math.pi, 256, endpoint=False)
+    om = np.linspace(-math.pi, math.pi, 257)
     count = 0
     worst_rel = 0.0
     while count < 200:

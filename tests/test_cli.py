@@ -1,8 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -271,6 +274,27 @@ def test_interrupt_exits_130_with_one_line(monkeypatch, capsys):
     assert main(["search", "--max-aperture", "5"]) == 130
     err = capsys.readouterr().err
     assert err == "error: interrupted\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "g.json"], ["expand", "g.json", "--order", "3"], ["baseline", "nested:4,4"],
+], ids=["analyze", "expand", "baseline"])
+def test_closed_stdout_exits_141_quietly(tmp_path, argv):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails; that is the reader's choice, not an input error
+    _write(tmp_path / "g.json", (0, 1, 4, 6))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "fracarray.cli", *argv], cwd=tmp_path,
+                             stdout=write_end, stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141
+    for marker in ("error:", "Traceback", "Exception ignored"):
+        assert marker not in out.stderr
 
 
 def test_search_naive_route_agrees(tmp_path):
