@@ -313,19 +313,14 @@ def _cmd_simulate(args, argv):
         grid_size=args.grid_size,
     )
     grid = _parse_grid(args.grid)
-    records = []
-
-    def on_trial(value, index, est, failure):
-        rec = {"axis_value": value, "trial": index, "success": est is not None,
-               "estimates": None if est is None else [float(e) for e in est],
-               "failure": failure}
-        records.append(json.dumps(rec) + "\n")
-
-    points = run_sweep(base, axis, grid, workers=args.threads,
-                       on_trial=on_trial if args.dump_trials else None)
+    points = run_sweep(base, axis, grid, workers=args.threads)
     # written only once the sweep returns, so a rejected grid or a sweep
     # stopped part-way leaves no dump behind
     if args.dump_trials:
+        records = (json.dumps({"axis_value": p.value, "trial": i, "success": est is not None,
+                               "estimates": None if est is None else list(est),
+                               "failure": failure}) + "\n"
+                   for p in points for i, (est, failure) in enumerate(p.trials))
         _write_output(args.dump_trials, "".join(records), argv, args)
     lines = ["axis_value,rmse,success_count,trial_count"]
     for p in points:
@@ -478,7 +473,7 @@ def main(argv=None):
         os.dup2(devnull, 1)
         os.close(devnull)
         return 141
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

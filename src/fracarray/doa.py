@@ -169,11 +169,6 @@ def coarray_statistics(x, array):
     return acc / prof.counts[np.abs(np.arange(-m, m + 1))]
 
 
-def _local_maxima(y):
-    # strictly above both neighbours, circularly (the direction grid wraps)
-    return np.nonzero((y > np.roll(y, 1)) & (y > np.roll(y, -1)))[0]
-
-
 def _real_form(lags):
     """T = Re(Q^H Z Q) of the (m+1) x (m+1) smoothing matrix Z[i, j] = z_{i-j},
     built in O(m^2) from the lags z_0..z_m; z_{-d} = conj(z_d) makes Z
@@ -266,7 +261,9 @@ def _peak_directions(den, num_sources):
     1 / den, as ascending grid directions."""
     grid_size = den.size
     spectrum = 1.0 / np.maximum(den, 1e-300)
-    peaks = _local_maxima(spectrum)
+    # strictly above both neighbours, circularly (the direction grid wraps)
+    peaks = np.nonzero((spectrum > np.roll(spectrum, 1))
+                       & (spectrum > np.roll(spectrum, -1)))[0]
     if peaks.size < num_sources:
         raise EstimationFailure(
             f"found {peaks.size} spectrum peaks, need {num_sources}")
@@ -315,17 +312,15 @@ def run_trial(scenario, seed):
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid value's outcome. The failed trials split by cause:
-    every sensor dead, too few usable lags for the source count
-    (identifiability), or too few spectrum peaks."""
+    """One grid value's outcome. trials[i] is run_trial's (estimates,
+    failure) for trial i, with the ascending estimates as a tuple of floats
+    (None if the trial failed) and failure its cause from FAILURE_CAUSES."""
 
     value: float
     rmse: object            # float, or None when every trial failed
     success_count: int
     trial_count: int
-    all_dead_count: int
-    identifiability_count: int
-    peaks_count: int
+    trials: tuple
 
 
 def _with_axis_value(scenario, axis, value):
@@ -341,7 +336,7 @@ def _with_axis_value(scenario, axis, value):
     raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
 
-def run_sweep(base, axis, grid, workers=1, on_trial=None):
+def run_sweep(base, axis, grid, workers=1):
     """Monte-Carlo sweep of one scenario parameter; returns one SweepPoint
     per grid value, in grid order.
 
@@ -354,10 +349,7 @@ def run_sweep(base, axis, grid, workers=1, on_trial=None):
 
     The whole grid's trials run on one pool of min(workers, cores) threads;
     a trial that raises, or an interrupt, cancels those not yet started.
-
-    on_trial, if given, is called as on_trial(value, index, estimates,
-    failure) in deterministic order; estimates is None for failed trials
-    and failure names their cause from FAILURE_CAUSES (None on success).
+    Each point keeps its trials' outcomes in trial order.
     """
     if not len(grid):
         raise ValueError("sweep grid must be non-empty")
@@ -373,14 +365,10 @@ def run_sweep(base, axis, grid, workers=1, on_trial=None):
     for p, (value, sc) in enumerate(zip(values, scenarios)):
         results = outcomes[p * n:(p + 1) * n]
         truth = np.sort(np.asarray(sc.thetas))
-        errs = []
-        for i, (est, failure) in enumerate(results):
-            if on_trial is not None:
-                on_trial(value, i, est, failure)
-            if est is not None:
-                errs.append(math.sqrt(float(np.mean((est - truth) ** 2))))
+        errs = [math.sqrt(float(np.mean((est - truth) ** 2)))
+                for est, _ in results if est is not None]
         rmse = float(np.mean(errs)) if errs else None
-        causes = [failure for _, failure in results]
-        points.append(SweepPoint(value, rmse, len(errs), n,
-                                 *(causes.count(c) for c in FAILURE_CAUSES)))
+        trials = tuple((None if est is None else tuple(est.tolist()), failure)
+                       for est, failure in results)
+        points.append(SweepPoint(value, rmse, len(errs), n, trials))
     return tuple(points)

@@ -166,6 +166,21 @@ def test_analyze_oversized_positions_exit_two(last, message, tmp_path, capsys):
     assert "Traceback" not in out + err
 
 
+# counts past 2**63 overflow before anything is allocated
+@pytest.mark.parametrize("argv", [
+    ["baseline", f"ula:{10 ** 20}"],
+    ["expand", "g.json", "--order", str(10 ** 20), "--max-order", str(10 ** 20)],
+    ["compare", "--baselines", f"ula:{10 ** 20}"],
+    ["simulate", "--baseline", f"ula:{10 ** 20}", "--sources", "1", "--sweep", "snr",
+     "--grid", "0", "--trials", "1"],
+], ids=["baseline", "expand", "compare", "simulate"])
+def test_overflowing_counts_exit_two(argv, tmp_path, monkeypatch, capsys):
+    _write(tmp_path / "g.json", (0, 1, 4, 6))
+    monkeypatch.chdir(tmp_path)
+    err = _exits_two_with_error(argv, capsys)
+    assert len(err.splitlines()) == 1
+
+
 def test_expand_single_generator(tmp_path, capsys):
     gen = _write(tmp_path / "g.json", (0, 1, 4, 6))
     out = tmp_path / "g2.json"

@@ -82,13 +82,13 @@ def test_scenario_validation():
 
 
 @pytest.mark.parametrize("snr", [math.nan, -math.inf])
-def test_scenario_rejects_nan_and_minus_inf_snr(snr):
+def test_scenario_rejects_nan_and_minus_inf_snr(monkeypatch, snr):
     with pytest.raises(ValueError, match="SNR must be finite"):
         _scenario(snr_db=snr)
     seen = []
+    monkeypatch.setattr(doa, "run_trial", lambda *job: seen.append(job))
     with pytest.raises(ValueError, match="SNR must be finite"):
-        run_sweep(_scenario(), "snr_db", [0.0, snr],
-                  on_trial=lambda *rec: seen.append(rec))
+        run_sweep(_scenario(), "snr_db", [0.0, snr])
     assert seen == []  # the grid is validated before the first trial
 
 
@@ -474,23 +474,13 @@ def test_a_failing_trial_stops_the_sweep(monkeypatch):
     assert next(calls) < 20
 
 
-def _records(sc, axis, grid, workers):
-    seen = []
-
-    def on_trial(value, index, est, failure):
-        seen.append((value, index, None if est is None else est.tolist(), failure))
-
-    return run_sweep(sc, axis, grid, workers=workers, on_trial=on_trial), seen
-
-
 def test_sweep_worker_count_does_not_change_ragged_results():
     # failure axis with random-phase coupling: every trial has its own
     # surviving array, so m (and the MUSIC problem size) varies per trial
     sc = _faults_scenario(trials=5, grid_size=2048)
-    serial, serial_seen = _records(sc, "failure_probability", [0.1, 0.3], 1)
-    threaded, threaded_seen = _records(sc, "failure_probability", [0.1, 0.3], 3)
-    assert serial == threaded
-    assert serial_seen == threaded_seen
+    serial = run_sweep(sc, "failure_probability", [0.1, 0.3], workers=1)
+    threaded = run_sweep(sc, "failure_probability", [0.1, 0.3], workers=3)
+    assert serial == threaded  # trials included
     sizes = {_virtual(replace(sc, failure_probability=p), trial_seed(0, p, i)).size
              for p in (0.1, 0.3) for i in range(5)}
     assert len(sizes) > 2
@@ -519,18 +509,17 @@ def _replayed_cause(sc, seed):
               grid_size=512), [0.9], {"all_dead", "identifiability"}),
 ])
 def test_sweep_counts_failures_by_cause(sc, grid, seen_causes):
-    res, seen = _records(sc, "failure_probability", grid, 2)
+    res = run_sweep(sc, "failure_probability", grid, workers=2)
     found = set()
     for point in res:
         causes = [_replayed_cause(replace(sc, failure_probability=point.value),
                                   trial_seed(sc.seed, point.value, i))
                   for i in range(sc.trials)]
-        assert (point.all_dead_count, point.identifiability_count,
-                point.peaks_count) == tuple(causes.count(c) for c in FAILURE_CAUSES)
+        assert [f for _, f in point.trials] == causes
+        assert set(causes) <= {None, *FAILURE_CAUSES}
         assert point.success_count == causes.count(None)
-        assert [f for v, _, _, f in seen if v == point.value] == causes
+        assert all((est is None) == (f is not None) for est, f in point.trials)
         found.update(causes)
-    assert all(est is None for _, _, est, f in seen if f is not None)
     assert found - {None} == seen_causes
 
 
@@ -557,13 +546,17 @@ def test_sweep_rmse_averages_only_successful_trials():
     assert point.rmse == float(np.mean(errs))
 
 
-def test_sweep_on_trial_callback_order():
+def test_sweep_points_keep_their_trials_in_order():
     sc = _scenario(trials=3)
-    seen = []
-    run_sweep(sc, "snr_db", [0.0, 10.0],
-              on_trial=lambda v, i, est, failure: seen.append((v, i, est is not None)))
-    assert [(v, i) for v, i, _ in seen] == [(0.0, 0), (0.0, 1), (0.0, 2),
-                                           (10.0, 0), (10.0, 1), (10.0, 2)]
+    points = run_sweep(sc, "snr_db", [0.0, 10.0])
+    assert [p.value for p in points] == [0.0, 10.0]
+    for point in points:
+        assert len(point.trials) == point.trial_count == 3
+        for i, trial in enumerate(point.trials):
+            est, failure = run_trial(replace(sc, snr_db=point.value),
+                                     trial_seed(sc.seed, point.value, i))
+            assert trial == (None if est is None else tuple(est.tolist()), failure)
+        assert point.success_count > 0  # estimates are compared, not only causes
 
 
 def test_sweep_axis_validation():
