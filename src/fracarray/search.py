@@ -4,12 +4,15 @@ fragility, coupling-leakage and aperture constraints.
 The solver enumerates candidate element sets by ascending cardinality, so
 the first feasible cardinality is the optimum. Candidates are uint64
 bitmasks over {0..max_aperture}, so apertures stop at MAX_SPAN = 63. One
-numpy kernel builds them block by block (at most BLOCK masks each, from a
-table of low-bit masks grouped by popcount) and keeps each block's
-hole-free masks, the complete rulers, with one AND-shift per lag. The
-complete rulers of consecutive blocks of one (span, k) are pooled, up to
-BLOCK masks, and each pool goes through leakage and then fragility, all
-exact. Fragility is a running cut: lags from the longest add their
+numpy kernel builds them outside-in, block by block (at most BLOCK masks
+each): a pair at one of the t longest lags joins sensors at most t from
+either end, so the patterns of those outer positions are enumerated first,
+from a table of low-bit masks grouped by popcount, and only those covering
+the t longest lags are joined to the inner positions. Each block then keeps
+its hole-free masks, the complete rulers, with one AND-shift per shorter
+lag. The complete rulers of consecutive blocks of one (span, k) are pooled,
+up to BLOCK masks, and each pool goes through leakage and then fragility,
+all exact. Fragility is a running cut: lags from the longest add their
 essential sensors, and a mask leaves as soon as it holds too many.
 """
 
@@ -25,8 +28,8 @@ from .analysis import economy
 from .core import SensorArray, difference_coarray, is_symmetric
 from .coupling import CouplingModel, leakage_from_counts, leakage_from_profile
 
-# with the default rules A=28 takes about 0.7 s on a 2-core VM and A=29
-# about 3 s; the guard moves only when a measurement justifies it
+# with the default rules A=28 takes about 0.35 s on a 2-core VM and A=29
+# about 1.6 s; the guard moves only when a measurement justifies it
 APERTURE_GUARD = 28
 
 
@@ -112,11 +115,13 @@ class SearchResult:
     """All minimum-cardinality feasible arrays, in lexicographic order.
 
     explored counts candidates built and tested by the block kernel;
-    pruned counts candidates ruled out in bulk by sound bounds without
-    being built. by_size holds (k, explored, pruned, complete) for each
-    size tried, where complete counts the candidates that reach the
-    leakage rule: the hole-free ones, or every one explored when the
-    hole-free rule is off.
+    pruned counts candidates ruled out by sound bounds without being built:
+    too few sensors for a hole-free coarray, or, under the hole-free rule,
+    outer positions that leave one of the t longest lags without a pair.
+    by_size holds (k, explored, pruned, complete) for each size tried;
+    explored + pruned is the number of candidates of that size, and
+    complete counts those that reach the leakage rule: the hole-free ones,
+    or every one explored when the hole-free rule is off.
     """
 
     optimum: tuple
@@ -130,7 +135,8 @@ class SearchResult:
 
 # A candidate is a uint64 bitmask: bit e marks a sensor at position e, so a
 # span of at most MAX_SPAN fits. The kernel evaluates candidates in blocks
-# of at most BLOCK masks; the popcount table covers the low _LOW_BITS bits.
+# of at most BLOCK masks; the popcount table covers the low _LOW_BITS bits,
+# which also hold the 2t outer bits of the hole-free search, t = _LOW_BITS // 2.
 MAX_SPAN = 63
 BLOCK = 1 << 13
 _LOW_BITS = 13
@@ -186,16 +192,54 @@ def _families(span, k, symmetric):
     return families
 
 
-def _candidate_blocks(span, k, symmetric):
-    """Yield the masks of every size-k candidate spanning exactly span, in
-    blocks, family by family."""
+def _place(free, first, span, symmetric):
+    """Sensor masks of free-bit masks whose bit j is the sensor at first + j
+    and, in symmetric mode, also its mirror at span - first - j."""
+    masks = free << first
+    if symmetric:
+        for j in range(int(free.max(initial=0)).bit_length()):
+            masks |= ((free >> j) & 1) << (span - first - j)
+    return masks
+
+
+def _candidate_blocks(span, k, symmetric, t):
+    """Yield the masks of the size-k candidates spanning exactly span whose
+    lags span - t .. span - 1 all have a pair, in blocks, family by family.
+
+    A pair at lag d >= span - t joins a sensor at most t from one end to one
+    at most t from the other, so the free bits of those outer positions alone
+    decide it: they are enumerated once per family from the popcount table,
+    the patterns leaving a long lag uncovered are dropped, and each survivor
+    is joined to every inner mask of the remaining popcount. t = 0 yields
+    every candidate."""
+    groups = _popcount_groups()
     for fixed, bits, count in _families(span, k, symmetric):
-        for free in _combinations(bits, count, BLOCK):
-            masks = np.uint64(fixed) | (free << 1)
-            if symmetric:
-                for j in range(bits):
-                    masks |= ((free >> j) & 1) << (span - 1 - j)
-            yield masks
+        # an n_out-bit outer pattern: its low left bits are the sensors from
+        # 1 (and their mirrors), its other bits those ending at span - 1; the
+        # n_in inner bits are the sensors from 1 + left
+        left = min(t, bits)
+        n_out = left if symmetric else min(2 * t, bits)
+        n_in = bits - n_out
+        lo, hi = max(0, count - n_in), min(n_out, count)
+        if lo > hi:
+            continue
+        outer = np.concatenate(groups[lo:hi + 1])
+        outer = outer[outer < 1 << n_out]
+        masks = (np.uint64(fixed) | _place(outer & ((1 << left) - 1), 1, span, symmetric)
+                 | (outer >> left) << (span - n_out + left))
+        covered = np.ones(masks.size, dtype=bool)
+        for d in range(max(1, span - t), span):
+            covered &= (masks & (masks >> d)) != 0
+        masks = masks[covered]
+        # the table runs in popcount order, so each popcount is one slice
+        edges = np.searchsorted(np.bitwise_count(outer[covered]), np.arange(lo, hi + 2)).tolist()
+        for h, a, b in zip(range(lo, hi + 1), edges, edges[1:]):
+            if a == b:
+                continue
+            for free in _combinations(n_in, count - h, max(1, BLOCK // (b - a))):
+                joined = (_place(free, 1 + left, span, symmetric)[:, None] | masks[a:b]).ravel()
+                for s in range(0, joined.size, BLOCK):
+                    yield joined[s:s + BLOCK]
 
 
 def _lag_pairs(masks, lags):
@@ -231,11 +275,10 @@ def _elements(mask, span):
     return tuple(e for e in range(span + 1) if mask >> e & 1)
 
 
-def _hole_free(masks, span):
-    """The masks of one block with a pair at every lag; the longest (rarest)
-    lags go first so the block shrinks early, and lag span is the pair
-    (0, span)."""
-    for d in range(span - 1, 0, -1):
+def _hole_free(masks, lags):
+    """The masks of one block with a pair at every lag 1..lags; the longest
+    (rarest) lags go first so the block shrinks early."""
+    for d in range(lags, 0, -1):
         if not masks.size:
             break
         masks = masks[(masks & (masks >> d)) != 0]
@@ -262,23 +305,27 @@ def _solve_pruned(cons):
     complete) for each size tried."""
     A = cons.max_aperture
     spans = [A] if cons.exact_aperture else list(range(A + 1))
+    # the outer positions decide lags span - t .. span - 1 before a mask is
+    # built; without the hole-free rule every candidate is built
+    t = _LOW_BITS // 2 if cons.require_hole_free else 0
     by_size = []
     for k in range(1, A + 2):
-        found, explored, pruned, complete = [], 0, 0, 0
+        # every candidate of size k not explored is pruned unbuilt
+        found, candidates, explored, complete = [], 0, 0, 0
         for span in spans:
+            candidates += _count_candidates(span, k, cons.require_symmetric)
             # a hole-free coarray over [-span, span] needs k(k-1) >= 2*span
             if cons.require_hole_free and span and k * (k - 1) < 2 * span:
-                pruned += _count_candidates(span, k, cons.require_symmetric)
                 continue
             # the complete rulers of consecutive blocks share one leakage
             # and fragility pass, which pays numpy's per-call cost once per
             # pool; a pool holds at most BLOCK masks, which bounds the
             # (masks x lags) float temporaries of leakage
             pool, held = [], 0
-            for masks in _candidate_blocks(span, k, cons.require_symmetric):
+            for masks in _candidate_blocks(span, k, cons.require_symmetric, t):
                 explored += masks.size
                 if cons.require_hole_free:
-                    masks = _hole_free(masks, span)
+                    masks = _hole_free(masks, span - t - 1)
                 complete += masks.size
                 if held + masks.size > BLOCK:
                     found += _feasible(np.concatenate(pool), span, k, cons).tolist()
@@ -287,7 +334,7 @@ def _solve_pruned(cons):
                 held += masks.size
             if held:
                 found += _feasible(np.concatenate(pool), span, k, cons).tolist()
-        by_size.append((k, explored, pruned, complete))
+        by_size.append((k, explored, candidates - explored, complete))
         if found:
             return [SensorArray(e) for e in sorted(_elements(m, A) for m in found)], k, by_size
     return [], 0, by_size

@@ -347,9 +347,10 @@ def test_search_rejects_aperture_beyond_a_mask(capsys):
         "error: aperture 64 exceeds 63, the largest span a 64-bit candidate mask holds\n")
 
 
-# stdout of the per-candidate route the block kernel replaced, seconds masked
+# stdout with seconds masked: the optima as the per-candidate route printed
+# them, the counts of the outside-in build
 SEARCH_20_GOLDEN = """\
-minimum size 10, 2 solution(s), explored 164730, pruned 5036, X.XXs
+minimum size 10, 2 solution(s), explored 40068, pruned 129698, X.XXs
   0 1 2 3 7 9 15 17 19 20
   0 1 3 5 11 13 17 18 19 20
 """

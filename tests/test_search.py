@@ -22,7 +22,7 @@ from fracarray import (
     solve_p1,
 )
 from fracarray import coupling, search
-from conftest import S_ELEMS, G_ELEMS, oracle_essential, oracle_solve_p1
+from conftest import S_ELEMS, G_ELEMS, oracle_differences, oracle_essential, oracle_solve_p1
 
 
 def test_constraint_defaults():
@@ -166,24 +166,35 @@ def _digest(res):
     return hashlib.sha256(repr([a.elements for a in res.optimum]).encode()).hexdigest()
 
 
-# outcomes of the benchmark queries, recorded from the per-candidate route
-# the block kernel replaced: optima, order, explored and pruned
+# outcomes of the benchmark queries. The optima and their order were
+# recorded from the per-candidate route the block kernel replaced, and the
+# per-size complete counts (the hole-free candidates) from the block kernel
+# that built every candidate; explored and pruned are those of the
+# outside-in build, which never builds a mask whose outermost lags are
+# uncovered
 G2 = (0, 1, 2, 3, 7, 9, 15, 17, 19, 20)
+
+
+def _complete(res):
+    return [row[3] for row in res.by_size]
 
 
 def test_pinned_symmetric_aperture_20():
     res = solve_p1(DesignConstraints(max_aperture=20, require_symmetric=True))
-    assert _outcome(res) == (11, (S_ELEMS,), 456, 56)
+    assert _outcome(res) == (11, (S_ELEMS,), 58, 454)
+    assert _complete(res) == [0] * 9 + [1, 9]
 
 
 def test_pinned_aperture_20():
     res = solve_p1(DesignConstraints(max_aperture=20))
-    assert _outcome(res) == (10, (G2, G_ELEMS), 164_730, 5_036)
+    assert _outcome(res) == (10, (G2, G_ELEMS), 40_068, 129_698)
+    assert _complete(res) == [0] * 7 + [150, 4_064, 19_107]
 
 
 def test_pinned_aperture_22():
     res = solve_p1(DesignConstraints(max_aperture=22))
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (11, 156, 667_964, 27_896)
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (11, 156, 177_600, 518_260)
+    assert _complete(res) == [0] * 7 + [18, 2_558, 25_308, 84_768]
     assert res.optimum[0].elements == (0, 1, 2, 3, 4, 6, 8, 10, 17, 21, 22)
     assert res.optimum[-1].elements == (0, 2, 5, 7, 11, 12, 18, 19, 20, 21, 22)
     assert _digest(res) == "90624447d17165247b736af03213a70c077d1d54fae289e997930aa5c0acf187"
@@ -191,7 +202,9 @@ def test_pinned_aperture_22():
 
 def test_pinned_infeasible_aperture_18():
     res = solve_p1(DesignConstraints(max_aperture=18, max_leakage=0.25))
-    assert _outcome(res) == (0, (), 127_858, 3_214)
+    assert _outcome(res) == (0, (), 67_736, 63_336)
+    assert _complete(res) == [0] * 7 + [500, 4_140, 10_445, 14_655, 14_184, 10_208, 5_538,
+                                        2_246, 663, 135, 17, 1]
     assert res.message == "no feasible array within aperture 18"
 
 
@@ -247,6 +260,8 @@ def test_pools_split_inside_a_size_keep_the_random_mix_optima(monkeypatch):
     dict(max_aperture=8, exact_aperture=False, max_fragility=1, max_leakage=1),
     dict(max_aperture=8, require_symmetric=True, max_fragility=1, max_leakage=0.45),
     dict(max_aperture=7, require_hole_free=False, max_fragility=1, max_leakage=0.3),
+    # symmetric and wide enough for the outer prune to use all its bits
+    dict(max_aperture=16, require_symmetric=True),
 ])
 def test_by_size_counts_every_size_tried(kw):
     cons = DesignConstraints(**kw)
@@ -271,7 +286,7 @@ def test_essential_counts_equal_economy_at_span_12():
     # the removal definition, is at most the bound, for every bound 0..k
     span, checked, hole_free = 12, 0, 0
     for k in range(2, span + 2):
-        for masks in search._candidate_blocks(span, k, False):
+        for masks in search._candidate_blocks(span, k, False, 0):
             counts = {}
             for mask in masks.tolist():
                 elems = search._elements(mask, span)
@@ -302,15 +317,40 @@ def test_results_do_not_depend_on_the_block_size(kw, monkeypatch):
 
 
 def test_candidate_blocks_are_bounded_and_complete(monkeypatch):
+    # t = 0 yields every candidate; with the outer prune on, the joined
+    # outer x inner blocks keep the same bound ((18, 8) and (26, 12) keep
+    # 2,161 and 134 masks at t = 6)
     monkeypatch.setattr(search, "BLOCK", 7)
     for span, k, sym in [(16, 5, False), (27, 3, False), (63, 4, False), (20, 7, True),
-                         (19, 4, True)]:
-        blocks = list(search._candidate_blocks(span, k, sym))
-        masks = np.concatenate(blocks)
-        assert max(b.size for b in blocks) <= 7
-        assert masks.size == np.unique(masks).size == search._count_candidates(span, k, sym)
-        assert (np.bitwise_count(masks) == k).all()
-        assert ((masks & 1) == 1).all() and ((masks >> span) == 1).all()
+                         (19, 4, True), (18, 8, False), (26, 12, True)]:
+        for t in (0, search._LOW_BITS // 2):
+            blocks = list(search._candidate_blocks(span, k, sym, t))
+            masks = np.concatenate(blocks or [np.zeros(0, dtype=np.uint64)])
+            assert max((b.size for b in blocks), default=0) <= 7
+            assert masks.size == np.unique(masks).size
+            assert t or masks.size == search._count_candidates(span, k, sym)
+            assert (np.bitwise_count(masks) == k).all()
+            assert ((masks & 1) == 1).all() and ((masks >> span) == 1).all()
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_outer_prune_drops_exactly_the_candidates_missing_a_long_lag(symmetric):
+    # against itertools: the kernel builds exactly the candidates with a pair
+    # at every lag span - t .. span - 1, and each one it skips has a hole
+    t = search._LOW_BITS // 2
+    for span in range(2, 17):
+        longest = set(range(max(1, span - t), span))
+        for k in range(1, span + 2):
+            rests = itertools.combinations(range(1, span), k - 2) if k > 1 else ()
+            cands = [(0, *rest, span) for rest in rests]
+            if symmetric:
+                cands = [c for c in cands if is_symmetric(SensorArray(c))]
+            blocks = list(search._candidate_blocks(span, k, symmetric, t))
+            built = [search._elements(m, span) for b in blocks for m in b.tolist()]
+            covered = [c for c in cands if longest <= oracle_differences(c)]
+            assert sorted(built) == covered, (span, k)
+            for c in set(cands) - set(covered):
+                assert not difference_coarray(SensorArray(c)).hole_free, c
 
 
 def test_apertures_beyond_a_mask_are_rejected_even_with_force():
@@ -338,7 +378,7 @@ def test_kernel_leakage_decisions_match_check_constraints_at_the_cap():
     # equal to the library value both accept, one ulp below it both reject
     model = DesignConstraints(max_aperture=20).coupling
     first = np.array([sum(1 << e for e in (0, 1, 2, 3, 4, 5, 6, 7, 8, 20))], dtype=np.uint64)
-    masks = np.concatenate([first, next(search._candidate_blocks(20, 10, False))[:200]])
+    masks = np.concatenate([first, next(search._candidate_blocks(20, 10, False, 0))[:200]])
     for mask in masks:
         mask = mask.reshape(1)
         arr = SensorArray(search._elements(int(mask[0]), 20))
