@@ -119,13 +119,27 @@ def synthesize(scenario, rng):
     phases (random-phase models only), source amplitudes, then noise.
     Raises EstimationFailure if every sensor fails.
     """
+    pos = _survivors(scenario, rng)
+    surviving = SensorArray(tuple(int(e) for e in pos))
+    return surviving, _snapshots(scenario, pos, surviving, rng)
+
+
+def _survivors(scenario, rng):
+    """The first draw of a trial: the raw positions of the sensors that did
+    not fail."""
     pos = scenario.array.as_array()
     if scenario.failure_probability > 0:
         alive = rng.random(pos.size) >= scenario.failure_probability
         if not alive.any():
             raise EstimationFailure("all sensors failed")
         pos = pos[alive]
-    surviving = SensorArray(tuple(int(e) for e in pos))
+    return pos
+
+
+def _snapshots(scenario, pos, surviving, rng):
+    """The draws after the failures: the snapshot matrix of the sensors at
+    the raw positions pos, whose SensorArray (shifted to start at 0) is
+    surviving."""
     C = None
     if scenario.coupling is not None:
         C = coupling_matrix(surviving, scenario.coupling, rng)
@@ -143,7 +157,7 @@ def synthesize(scenario, rng):
         scale = math.sqrt(pw / 2.0)
         x.real += scale * g[0]
         x.imag += scale * g[1]
-    return surviving, x
+    return x
 
 
 def coarray_statistics(x, array):
@@ -156,8 +170,12 @@ def coarray_statistics(x, array):
     pos = array.as_array()
     if x.shape[0] != pos.size:
         raise ValueError("snapshot rows must match the array size")
+    return _lag_means(x, pos, difference_coarray(array))
+
+
+def _lag_means(x, pos, prof):
+    """coarray_statistics on positions pos whose coarray profile is prof."""
     R = (x @ x.conj().T) / x.shape[1]
-    prof = difference_coarray(array)
     m = prof.central_ula_halfwidth
     lag = pos[:, None] - pos[None, :]
     sel = np.abs(lag) <= m
@@ -295,17 +313,27 @@ FAILURE_CAUSES = ("all_dead", "identifiability", "peaks")
 
 def run_trial(scenario, seed):
     """One synthesize-estimate cycle: (ascending estimates, None), or
-    (None, cause) with cause one of FAILURE_CAUSES."""
+    (None, cause) with cause one of FAILURE_CAUSES.
+
+    The failures are drawn first; a surviving array whose smoothed coarray
+    cannot separate the sources fails without drawing its snapshots. Each
+    trial has its own stream, so skipping those draws changes no other
+    trial."""
     rng = np.random.default_rng(seed)
     try:
-        surviving, x = synthesize(scenario, rng)
+        pos = _survivors(scenario, rng)
     except EstimationFailure:
         return None, "all_dead"
-    virtual = coarray_statistics(x, surviving)
-    try:
-        return coarray_music(virtual, len(scenario.thetas), scenario.grid_size), None
-    except IdentifiabilityError:
+    surviving = SensorArray(tuple(int(e) for e in pos))
+    prof = difference_coarray(surviving)
+    num_sources = len(scenario.thetas)
+    # coarray_music's identifiability test, known before any snapshot
+    if prof.central_ula_halfwidth + 1 <= num_sources:
         return None, "identifiability"
+    x = _snapshots(scenario, pos, surviving, rng)
+    virtual = _lag_means(x, surviving.as_array(), prof)
+    try:
+        return coarray_music(virtual, num_sources, scenario.grid_size), None
     except EstimationFailure:
         return None, "peaks"
 

@@ -7,13 +7,16 @@ bitmasks over {0..max_aperture}, so apertures stop at MAX_SPAN = 63. One
 numpy kernel builds them outside-in, block by block (at most BLOCK masks
 each): a pair at one of the t longest lags joins sensors at most t from
 either end, so the patterns of those outer positions are enumerated first,
-from a table of low-bit masks grouped by popcount, and only those covering
-the t longest lags are joined to the inner positions. Each block then keeps
-its hole-free masks, the complete rulers, with one AND-shift per shorter
-lag. The complete rulers of consecutive blocks of one (span, k) are pooled,
-up to BLOCK masks, and each pool goes through leakage and then fragility,
-all exact. Fragility is a running cut: lags from the longest add their
-essential sensors, and a mask leaves as soon as it holds too many.
+once per search for each family shape, from a table of low-bit masks
+grouped by popcount. A pattern is joined to the inner positions only if it
+covers the t longest lags and makes at most as many sensors essential at
+lags span - t .. span as the fragility rule allows for the size at hand.
+Each block then keeps its hole-free masks, the complete rulers, with one
+AND-shift per shorter lag. The complete rulers of consecutive blocks of one
+(span, k) are pooled, up to BLOCK masks, and each pool goes through leakage
+and then fragility, all exact. Fragility is a running cut: lags from the
+longest add their essential sensors, and a mask leaves as soon as it holds
+too many.
 """
 
 import functools
@@ -28,8 +31,10 @@ from .analysis import economy
 from .core import SensorArray, difference_coarray, is_symmetric
 from .coupling import CouplingModel, leakage_from_counts, leakage_from_profile
 
-# with the default rules A=28 takes about 0.35 s on a 2-core VM and A=29
-# about 1.6 s; the guard moves only when a measurement justifies it
+# with the default rules A=28 takes about 0.04 s on a 2-core VM and A=29
+# about 0.35 s. --max-fragility 1 or --no-hole-free turn the outer fragility
+# cut off, and an infeasible A=28 query then still takes 9-13 s, as before
+# the cut; the guard moves only when a measurement justifies it
 APERTURE_GUARD = 28
 
 
@@ -117,11 +122,12 @@ class SearchResult:
     explored counts candidates built and tested by the block kernel;
     pruned counts candidates ruled out by sound bounds without being built:
     too few sensors for a hole-free coarray, or, under the hole-free rule,
-    outer positions that leave one of the t longest lags without a pair.
+    outer positions that leave one of the t longest lags without a pair or
+    already make more sensors essential than the fragility rule allows.
     by_size holds (k, explored, pruned, complete) for each size tried;
     explored + pruned is the number of candidates of that size, and
-    complete counts those that reach the leakage rule: the hole-free ones,
-    or every one explored when the hole-free rule is off.
+    complete counts the explored ones that reach the leakage rule: the
+    hole-free ones, or every one explored when the hole-free rule is off.
     """
 
     optimum: tuple
@@ -202,42 +208,60 @@ def _place(free, first, span, symmetric):
     return masks
 
 
-def _candidate_blocks(span, k, symmetric, t):
-    """Yield the masks of the size-k candidates spanning exactly span whose
-    lags span - t .. span - 1 all have a pair, in blocks, family by family.
+def _outer_table(span, fixed, bits, symmetric, t):
+    """(left, n_out, by_popcount) for one (span, fixed, bits) family shape:
+    by_popcount[h] holds the masks of the n_out-bit outer patterns of
+    popcount h that cover lags span - t .. span - 1, and the count of
+    sensors each makes essential at lags span - t .. span.
 
-    A pair at lag d >= span - t joins a sensor at most t from one end to one
-    at most t from the other, so the free bits of those outer positions alone
-    decide it: they are enumerated once per family from the popcount table,
-    the patterns leaving a long lag uncovered are dropped, and each survivor
-    is joined to every inner mask of the remaining popcount. t = 0 yields
-    every candidate."""
-    groups = _popcount_groups()
+    A pattern's low left bits are the sensors from 1 (and their mirrors), its
+    other bits those ending at span - 1. A pair at lag d >= span - t joins
+    sensors at most t from either end, so the outer positions alone decide
+    those lags' pairs, and with them their essential sensors: a middle g of
+    g - d, g, g + d lies at most t from both ends, so none exists unless
+    span <= 2t, where every free bit is outer. t = 0 fixes no outer position
+    and counts nothing."""
+    left = min(t, bits)
+    n_out = left if symmetric else min(2 * t, bits)
+    outer = np.concatenate(_popcount_groups()[:n_out + 1])
+    outer = outer[outer < 1 << n_out]
+    masks = (np.uint64(fixed) | _place(outer & ((1 << left) - 1), 1, span, symmetric)
+             | (outer >> left) << (span - n_out + left))
+    covered = np.ones(masks.size, dtype=bool)
+    for d in range(max(1, span - t), span):
+        covered &= (masks & (masks >> d)) != 0
+    outer, masks = outer[covered], masks[covered]
+    ess = np.zeros_like(masks)
+    for d in range(max(1, span - t), span + 1) if t else ():
+        _mark_essential(ess, masks, d)
+    ess = np.bitwise_count(ess)
+    # the table runs in popcount order, so each popcount is one slice
+    edges = np.searchsorted(np.bitwise_count(outer), np.arange(n_out + 2)).tolist()
+    return left, n_out, [(masks[a:b], ess[a:b]) for a, b in zip(edges, edges[1:])]
+
+
+def _candidate_blocks(span, k, symmetric, t, bound=None, outer_table=_outer_table):
+    """Yield the masks of the size-k candidates spanning exactly span whose
+    lags span - t .. span - 1 all have a pair and whose outer positions make
+    at most bound sensors essential (no limit if bound is None), in blocks,
+    family by family.
+
+    Each family's outer patterns come from outer_table, and each one kept is
+    joined to every inner mask, the n_in bits from 1 + left, of the
+    remaining popcount. The essential set only grows as lags are added, so a
+    pattern over the bound cannot lead to a feasible mask. t = 0 yields every
+    candidate."""
     for fixed, bits, count in _families(span, k, symmetric):
-        # an n_out-bit outer pattern: its low left bits are the sensors from
-        # 1 (and their mirrors), its other bits those ending at span - 1; the
-        # n_in inner bits are the sensors from 1 + left
-        left = min(t, bits)
-        n_out = left if symmetric else min(2 * t, bits)
+        left, n_out, by_popcount = outer_table(span, fixed, bits, symmetric, t)
         n_in = bits - n_out
-        lo, hi = max(0, count - n_in), min(n_out, count)
-        if lo > hi:
-            continue
-        outer = np.concatenate(groups[lo:hi + 1])
-        outer = outer[outer < 1 << n_out]
-        masks = (np.uint64(fixed) | _place(outer & ((1 << left) - 1), 1, span, symmetric)
-                 | (outer >> left) << (span - n_out + left))
-        covered = np.ones(masks.size, dtype=bool)
-        for d in range(max(1, span - t), span):
-            covered &= (masks & (masks >> d)) != 0
-        masks = masks[covered]
-        # the table runs in popcount order, so each popcount is one slice
-        edges = np.searchsorted(np.bitwise_count(outer[covered]), np.arange(lo, hi + 2)).tolist()
-        for h, a, b in zip(range(lo, hi + 1), edges, edges[1:]):
-            if a == b:
+        for h in range(max(0, count - n_in), min(n_out, count) + 1):
+            masks, ess = by_popcount[h]
+            if bound is not None:
+                masks = masks[ess <= bound]
+            if not masks.size:
                 continue
-            for free in _combinations(n_in, count - h, max(1, BLOCK // (b - a))):
-                joined = (_place(free, 1 + left, span, symmetric)[:, None] | masks[a:b]).ravel()
+            for free in _combinations(n_in, count - h, max(1, BLOCK // masks.size)):
+                joined = (_place(free, 1 + left, span, symmetric)[:, None] | masks).ravel()
                 for s in range(0, joined.size, BLOCK):
                     yield joined[s:s + BLOCK]
 
@@ -250,21 +274,26 @@ def _lag_pairs(masks, lags):
     return pairs
 
 
+def _mark_essential(ess, masks, d):
+    """Add to ess the sensors that lag d makes essential in each mask: the
+    ends of its pair at weight 1 and the middle of g - d, g, g + d at
+    weight 2, the rule analysis.economy reads from its pair pass."""
+    pairs = masks & (masks >> d)  # bit i: sensors at i and i + d
+    w = np.bitwise_count(pairs)
+    ess |= np.where(w == 1, pairs | (pairs << d), 0)
+    ess |= np.where(w == 2, (pairs & (pairs >> d)) << d, 0)
+
+
 def _fragility_cut(masks, span, k, bound):
-    """The size-k masks with at most bound essential sensors: the ends of the
-    pair at a weight-1 lag and the middle of g - d, g, g + d at a weight-2
-    lag, the rule analysis.economy reads from its pair pass. A single sensor
-    counts as essential. Lags run from the longest, whose pairs are rarest;
-    the essential set only grows, so a mask leaves once it holds more than
-    bound."""
+    """The size-k masks with at most bound essential sensors, by
+    _mark_essential at every lag. A single sensor counts as essential. Lags
+    run from the longest, whose pairs are rarest; the essential set only
+    grows, so a mask leaves once it holds more than bound."""
     ess = masks.copy() if k == 1 else np.zeros_like(masks)
     for d in range(span, 0, -1):
         if not masks.size:
             break
-        pairs = masks & (masks >> d)  # bit i: sensors at i and i + d
-        w = np.bitwise_count(pairs)
-        ess |= np.where(w == 1, pairs | (pairs << d), 0)
-        ess |= np.where(w == 2, (pairs & (pairs >> d)) << d, 0)
+        _mark_essential(ess, masks, d)
         keep = np.bitwise_count(ess) <= bound
         masks, ess = masks[keep], ess[keep]
     # the loop is empty for the single sensor, span 0
@@ -291,9 +320,14 @@ def _feasible(masks, span, k, cons):
     # the leakage formula check_constraints uses, on the coupled lags
     pairs = _lag_pairs(masks, min(cons.coupling.q, span))
     masks = masks[leakage_from_counts(pairs, k, cons.coupling.c1_magnitude) <= cons.max_leakage]
-    # fragility ess / k <= num / den, compared as exact integers
+    return _fragility_cut(masks, span, k, _essential_bound(cons, k))
+
+
+def _essential_bound(cons, k):
+    """The most essential sensors a size-k array may hold: fragility
+    ess / k <= num / den, compared as exact integers."""
     f = cons.max_fragility
-    return _fragility_cut(masks, span, k, f.numerator * k // f.denominator)
+    return f.numerator * k // f.denominator
 
 
 def _count_candidates(span, k, symmetric):
@@ -308,8 +342,11 @@ def _solve_pruned(cons):
     # the outer positions decide lags span - t .. span - 1 before a mask is
     # built; without the hole-free rule every candidate is built
     t = _LOW_BITS // 2 if cons.require_hole_free else 0
+    # the outer tables of a family shape serve every size
+    outer_table = functools.cache(_outer_table)
     by_size = []
     for k in range(1, A + 2):
+        bound = _essential_bound(cons, k)
         # every candidate of size k not explored is pruned unbuilt
         found, candidates, explored, complete = [], 0, 0, 0
         for span in spans:
@@ -322,7 +359,8 @@ def _solve_pruned(cons):
             # pool; a pool holds at most BLOCK masks, which bounds the
             # (masks x lags) float temporaries of leakage
             pool, held = [], 0
-            for masks in _candidate_blocks(span, k, cons.require_symmetric, t):
+            for masks in _candidate_blocks(span, k, cons.require_symmetric, t, bound,
+                                           outer_table):
                 explored += masks.size
                 if cons.require_hole_free:
                     masks = _hole_free(masks, span - t - 1)

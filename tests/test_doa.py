@@ -523,6 +523,19 @@ def test_sweep_counts_failures_by_cause(sc, grid, seen_causes):
     assert found - {None} == seen_causes
 
 
+def test_an_unidentifiable_survivor_set_draws_no_snapshots(monkeypatch):
+    # the failures are drawn first; a lone survivor (m = 0) fails before any
+    # phase, amplitude or noise draw
+    sc = Scenario(array=SensorArray((0, 1)), thetas=(0.1,), snapshots=20, trials=30,
+                  grid_size=512, failure_probability=0.5)
+    snapshots, drawn = doa._snapshots, []
+    monkeypatch.setattr(doa, "_snapshots", lambda *args: drawn.append(args) or snapshots(*args))
+    causes = [run_trial(sc, trial_seed(sc.seed, 0.5, i))[1] for i in range(sc.trials)]
+    assert {"identifiability", "all_dead", None} <= set(causes)
+    assert len(drawn) == sum(cause not in ("identifiability", "all_dead") for cause in causes)
+    assert causes == [_replayed_cause(sc, trial_seed(sc.seed, 0.5, i)) for i in range(sc.trials)]
+
+
 def test_sweep_rmse_averages_only_successful_trials():
     # heavy coupling makes some trials fail; the reported rmse must equal the
     # mean of per-trial rms errors recomputed over the surviving trials only

@@ -167,11 +167,13 @@ def _digest(res):
 
 
 # outcomes of the benchmark queries. The optima and their order were
-# recorded from the per-candidate route the block kernel replaced, and the
-# per-size complete counts (the hole-free candidates) from the block kernel
-# that built every candidate; explored and pruned are those of the
-# outside-in build, which never builds a mask whose outermost lags are
-# uncovered
+# recorded from the per-candidate route the block kernel replaced. explored
+# and pruned are those of the outside-in build, which never builds a mask
+# whose outermost lags are uncovered or whose outer positions already make
+# too many sensors essential; complete counts the hole-free masks among those
+# built. The hole-free candidates of each size are pinned through the kernel
+# with the fragility bound off, which builds every candidate covering the
+# outer lags
 G2 = (0, 1, 2, 3, 7, 9, 15, 17, 19, 20)
 
 
@@ -179,22 +181,32 @@ def _complete(res):
     return [row[3] for row in res.by_size]
 
 
+def _hole_free_counts(A, res, symmetric=False):
+    t = search._LOW_BITS // 2
+    return [sum(search._hole_free(masks, A - t - 1).size
+                for masks in search._candidate_blocks(A, k, symmetric, t))
+            for k, *_ in res.by_size]
+
+
 def test_pinned_symmetric_aperture_20():
     res = solve_p1(DesignConstraints(max_aperture=20, require_symmetric=True))
-    assert _outcome(res) == (11, (S_ELEMS,), 58, 454)
-    assert _complete(res) == [0] * 9 + [1, 9]
+    assert _outcome(res) == (11, (S_ELEMS,), 18, 494)
+    assert _complete(res) == [0] * 10 + [2]
+    assert _hole_free_counts(20, res, symmetric=True) == [0] * 9 + [1, 9]
 
 
 def test_pinned_aperture_20():
     res = solve_p1(DesignConstraints(max_aperture=20))
-    assert _outcome(res) == (10, (G2, G_ELEMS), 40_068, 129_698)
-    assert _complete(res) == [0] * 7 + [150, 4_064, 19_107]
+    assert _outcome(res) == (10, (G2, G_ELEMS), 3_502, 166_264)
+    assert _complete(res) == [0] * 8 + [8, 1_630]
+    assert _hole_free_counts(20, res) == [0] * 7 + [150, 4_064, 19_107]
 
 
 def test_pinned_aperture_22():
     res = solve_p1(DesignConstraints(max_aperture=22))
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (11, 156, 177_600, 518_260)
-    assert _complete(res) == [0] * 7 + [18, 2_558, 25_308, 84_768]
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (11, 156, 21_010, 674_850)
+    assert _complete(res) == [0] * 9 + [1_084, 10_844]
+    assert _hole_free_counts(22, res) == [0] * 7 + [18, 2_558, 25_308, 84_768]
     assert res.optimum[0].elements == (0, 1, 2, 3, 4, 6, 8, 10, 17, 21, 22)
     assert res.optimum[-1].elements == (0, 2, 5, 7, 11, 12, 18, 19, 20, 21, 22)
     assert _digest(res) == "90624447d17165247b736af03213a70c077d1d54fae289e997930aa5c0acf187"
@@ -202,10 +214,32 @@ def test_pinned_aperture_22():
 
 def test_pinned_infeasible_aperture_18():
     res = solve_p1(DesignConstraints(max_aperture=18, max_leakage=0.25))
-    assert _outcome(res) == (0, (), 67_736, 63_336)
-    assert _complete(res) == [0] * 7 + [500, 4_140, 10_445, 14_655, 14_184, 10_208, 5_538,
-                                        2_246, 663, 135, 17, 1]
+    assert _outcome(res) == (0, (), 26_736, 104_336)
+    assert _complete(res) == [0] * 8 + [48, 1_654, 4_345, 6_151, 5_813, 5_046, 2_166,
+                                        657, 135, 17, 1]
+    assert _hole_free_counts(18, res) == [0] * 7 + [500, 4_140, 10_445, 14_655, 14_184, 10_208,
+                                                5_538, 2_246, 663, 135, 17, 1]
     assert res.message == "no feasible array within aperture 18"
+
+
+def test_pinned_aperture_28():
+    # the optima and their digest as the kernel without the outer fragility
+    # cut found them
+    res = solve_p1(DesignConstraints(max_aperture=28))
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (12, 4, 286_986,
+                                                                              16_341_823)
+    assert res.optimum[0].elements == (0, 1, 2, 3, 7, 9, 13, 19, 23, 24, 27, 28)
+    assert res.optimum[-1].elements == (0, 1, 4, 5, 9, 15, 19, 21, 25, 26, 27, 28)
+    assert _digest(res) == "33eb794d7c3c0c475b90b87d0e84bd41e5eacced6cd6ec55b4c06ba3e7c1481e"
+
+
+def test_pinned_forced_aperture_29():
+    res = solve_p1(DesignConstraints(max_aperture=29), force=True)
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (13, 4_280, 1_215_007,
+                                                                              45_080_506)
+    assert res.optimum[0].elements == (0, 1, 2, 3, 4, 5, 6, 13, 15, 20, 23, 27, 29)
+    assert res.optimum[-1].elements == (0, 2, 6, 9, 14, 16, 23, 24, 25, 26, 27, 28, 29)
+    assert _digest(res) == "071b4a77cbc5c4de346a216a48491582be1f4d3ae7b87339dc98a4cc7ff4026a"
 
 
 def _random_mix(rng):
@@ -255,18 +289,35 @@ def test_pools_split_inside_a_size_keep_the_random_mix_optima(monkeypatch):
     assert max(collections.Counter(key for key, _ in pools).values()) > 1
 
 
+def _built(c, t, bound):
+    """Whether the kernel builds candidate c: every lag span - t .. span - 1
+    has a pair, and at most bound sensors are essential to one of lags
+    span - t .. span by the removal definition. t = 0 builds everything."""
+    span = c[-1]
+    outer = range(max(1, span - t), span + 1) if t else range(0)
+    if not set(outer[:-1]) <= oracle_differences(c):
+        return False
+    essential = [g for g in c
+                 if not set(outer) <= oracle_differences([e for e in c if e != g])]
+    return len(essential) <= bound
+
+
 @pytest.mark.parametrize("kw", [
     dict(max_aperture=9),
     dict(max_aperture=8, exact_aperture=False, max_fragility=1, max_leakage=1),
     dict(max_aperture=8, require_symmetric=True, max_fragility=1, max_leakage=0.45),
     dict(max_aperture=7, require_hole_free=False, max_fragility=1, max_leakage=0.3),
-    # symmetric and wide enough for the outer prune to use all its bits
+    # wide enough for the outer prune to use all its bits
     dict(max_aperture=16, require_symmetric=True),
+    dict(max_aperture=14, max_fragility=Fraction(2, 5), max_leakage=0.3),
 ])
 def test_by_size_counts_every_size_tried(kw):
+    # explored counts the candidates the kernel builds and complete the
+    # hole-free ones among them; the rest of each size is pruned unbuilt
     cons = DesignConstraints(**kw)
     res = solve_p1(cons)
     A = cons.max_aperture
+    t = search._LOW_BITS // 2 if cons.require_hole_free else 0
     last = res.optimum_size or A + 1
     assert [row[0] for row in res.by_size] == list(range(1, last + 1))
     assert sum(row[1] for row in res.by_size) == res.explored
@@ -276,7 +327,11 @@ def test_by_size_counts_every_size_tried(kw):
                  if (not cons.exact_aperture or rest[-1:] == (A,))
                  and (not cons.require_symmetric or is_symmetric(SensorArray((0,) + rest)))]
         assert explored + pruned == len(cands)
-        passing = [c for c in cands if difference_coarray(SensorArray(c)).hole_free
+        bound = cons.max_fragility.numerator * k // cons.max_fragility.denominator
+        built = [c for c in cands if _built(c, t, bound)
+                 and (not cons.require_hole_free or k * (k - 1) >= 2 * c[-1])]
+        assert explored == len(built)
+        passing = [c for c in built if difference_coarray(SensorArray(c)).hole_free
                    or not cons.require_hole_free]
         assert complete == len(passing)
 
@@ -351,6 +406,32 @@ def test_outer_prune_drops_exactly_the_candidates_missing_a_long_lag(symmetric):
             assert sorted(built) == covered, (span, k)
             for c in set(cands) - set(covered):
                 assert not difference_coarray(SensorArray(c)).hole_free, c
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_outer_fragility_cut_skips_only_infeasible_candidates(symmetric):
+    # for every bound: each candidate the kernel skips leaves one of lags
+    # span - t .. span - 1 without a pair, or has more than bound essential
+    # sensors by the removal definition; each one built is built once
+    t, cut = search._LOW_BITS // 2, 0
+    for span in range(2, 17):
+        longest = set(range(max(1, span - t), span))
+        for k in range(2, span + 2):
+            cands = [(0, *rest, span) for rest in itertools.combinations(range(1, span), k - 2)]
+            if symmetric:
+                cands = [c for c in cands if is_symmetric(SensorArray(c))]
+            covered = {c for c in cands if longest <= oracle_differences(c)}
+            essential = {}
+            for bound in range(k + 1):
+                blocks = search._candidate_blocks(span, k, symmetric, t, bound)
+                built = [search._elements(m, span) for b in blocks for m in b.tolist()]
+                assert len(built) == len(set(built)) and set(built) <= covered, (span, k, bound)
+                for c in covered - set(built):
+                    if c not in essential:
+                        essential[c] = sum(oracle_essential(c))
+                    assert essential[c] > bound, (c, bound)
+                cut += len(covered) - len(built)
+    assert cut > 0
 
 
 def test_apertures_beyond_a_mask_are_rejected_even_with_force():
