@@ -203,12 +203,7 @@ def economy(array):
     if profile is None:
         profile = difference_coarray(array)
     mask, c1 = _pair_pass(elems, profile.counts)
-    essential = tuple(int(e) for e in elems[mask])
-    inessential = tuple(int(e) for e in elems[~mask])
-    return EconomyReport(
-        essential,
-        inessential,
-        Fraction(int(mask.sum()), n),
-        not inessential,
-        c1,
-    )
+    essential = tuple(elems[mask].tolist())
+    inessential = tuple(elems[~mask].tolist())
+    return EconomyReport(essential, inessential, Fraction(int(mask.sum()), n),
+                         not inessential, c1)

@@ -22,9 +22,10 @@ import numpy as np
 from . import __version__
 from .analysis import beampattern, economy
 from .baselines import _BUILDERS, BaselineSpec, build_baseline
-from .core import ArrayFormatError, SensorArray, difference_coarray, is_symmetric, load_array
+from .core import (ArrayFormatError, SensorArray, _array_json, difference_coarray, is_symmetric,
+                   load_array)
 from .coupling import CouplingModel, leakage_from_profile
-from .doa import DEFAULT_GRID, Scenario, equally_spaced_thetas, run_sweep
+from .doa import Scenario, equally_spaced_thetas, run_sweep
 from .fractal import MAX_ORDER, expand
 from .search import APERTURE_GUARD, MAX_SPAN, DesignConstraints, solve_p1
 
@@ -75,7 +76,7 @@ def _summary_line(array):
 
 
 def _emit_array(array, args, argv):
-    text = json.dumps({"name": array.name, "elements": list(array.elements)}) + "\n"
+    text = _array_json(array)
     if args.out:
         _write_output(args.out, text, argv, args)
         print(_summary_line(array))
@@ -86,8 +87,8 @@ def _emit_array(array, args, argv):
     return 0
 
 
-def _add_coupling_flags(sub, default_mag=0.3):
-    sub.add_argument("--coupling-q", type=int, default=15, metavar="Q",
+def _add_coupling_flags(sub, default_mag=CouplingModel.c1_magnitude):
+    sub.add_argument("--coupling-q", type=int, default=CouplingModel.q, metavar="Q",
                      help="coupling limit: separations above Q do not couple")
     sub.add_argument("--coupling-c1-mag", type=float, default=default_mag, metavar="MAG",
                      help="magnitude of the unit-separation coefficient")
@@ -407,12 +408,14 @@ def _build_parser():
     p = subs.add_parser("search", help="exhaustive minimum-sensor design search")
     p.add_argument("--max-aperture", type=int, required=True)
     p.add_argument("--symmetric", action="store_true", help="admit only mirror-symmetric arrays")
-    p.add_argument("--hole-free", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--hole-free", action=argparse.BooleanOptionalAction,
+                   default=DesignConstraints.require_hole_free,
                    help="require a hole-free difference coarray")
-    p.add_argument("--max-fragility", default="3/10",
+    p.add_argument("--max-fragility", default=DesignConstraints.max_fragility,
                    help="largest allowed essential-sensor fraction, exact rational (e.g. 0.3 or 3/10)")
-    p.add_argument("--max-leakage", type=float, default=1 / 3)
-    p.add_argument("--exact-aperture", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--max-leakage", type=float, default=DesignConstraints.max_leakage)
+    p.add_argument("--exact-aperture", action=argparse.BooleanOptionalAction,
+                   default=DesignConstraints.exact_aperture,
                    help="candidates span exactly max-aperture; --no-exact-aperture admits shorter arrays")
     _add_coupling_flags(p)
     p.add_argument("--all-solutions", action="store_true")
@@ -425,13 +428,13 @@ def _build_parser():
     p.add_argument("--baseline", metavar="KIND:P,P", help="baseline spec, e.g. nested:4,4")
     p.add_argument("--sources", type=int, required=True, help="number of sources")
     p.add_argument("--range", default="-0.45:0.45", help="normalized direction range lo:hi")
-    p.add_argument("--snapshots", type=int, default=1000)
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--snr", type=float, default=0.0, help="SNR in dB outside snr sweeps")
+    p.add_argument("--snapshots", type=int, default=Scenario.snapshots)
+    p.add_argument("--trials", type=int, default=Scenario.trials)
+    p.add_argument("--snr", type=float, default=Scenario.snr_db, help="SNR in dB outside snr sweeps")
     p.add_argument("--sweep", required=True, choices=("coupling", "failure", "snr"))
     p.add_argument("--grid", required=True, help="sweep grid, start:stop:step or comma list")
-    p.add_argument("--grid-size", type=int, default=DEFAULT_GRID, help="direction grid resolution")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid-size", type=int, default=Scenario.grid_size, help="direction grid resolution")
+    p.add_argument("--seed", type=int, default=Scenario.seed)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads; outputs do not depend on the count")
     # coupling stays off in snr/failure sweeps unless a magnitude is given
@@ -473,7 +476,10 @@ def main(argv=None):
         os.dup2(devnull, 1)
         os.close(devnull)
         return 141
-    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

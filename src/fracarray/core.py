@@ -196,8 +196,12 @@ def load_array(path):
     return parse_array(doc, source=str(path))
 
 
+def _array_json(array):
+    """The text of an array file: one JSON object and a newline."""
+    return json.dumps({"name": array.name, "elements": list(array.elements)}) + "\n"
+
+
 def dump_array(array, path):
     """Write one array as a JSON object."""
     with open(path, "w") as fh:
-        json.dump({"name": array.name, "elements": list(array.elements)}, fh)
-        fh.write("\n")
+        fh.write(_array_json(array))

@@ -52,13 +52,10 @@ def coupling_matrix(array, model, rng=None):
     construction. rng only matters for random-phase models (phases are drawn
     once per call)."""
     pos = array.as_array()
-    c = model.coefficients(rng)
+    # table[d] is the coefficient at separation d: 1, c_1..c_q, then 0
+    table = np.concatenate(([1.0], model.coefficients(rng), [0.0]))
     sep = np.abs(pos[:, None] - pos[None, :])
-    C = np.zeros(sep.shape, dtype=complex)
-    np.fill_diagonal(C, 1.0)
-    inband = (sep >= 1) & (sep <= model.q)
-    C[inband] = c[sep[inband] - 1]
-    return C
+    return table[np.minimum(sep, model.q + 1)]
 
 
 def leakage_from_counts(pair_counts, n, c1_magnitude):

@@ -120,7 +120,7 @@ def synthesize(scenario, rng):
     Raises EstimationFailure if every sensor fails.
     """
     pos = _survivors(scenario, rng)
-    surviving = SensorArray(tuple(int(e) for e in pos))
+    surviving = SensorArray(pos.tolist())
     return surviving, _snapshots(scenario, pos, surviving, rng)
 
 
@@ -324,7 +324,7 @@ def run_trial(scenario, seed):
         pos = _survivors(scenario, rng)
     except EstimationFailure:
         return None, "all_dead"
-    surviving = SensorArray(tuple(int(e) for e in pos))
+    surviving = SensorArray(pos.tolist())
     prof = difference_coarray(surviving)
     num_sources = len(scenario.thetas)
     # coarray_music's identifiability test, known before any snapshot
@@ -352,16 +352,12 @@ class SweepPoint:
 
 
 def _with_axis_value(scenario, axis, value):
-    if axis == "snr_db":
-        return replace(scenario, snr_db=value)
-    if axis == "failure_probability":
-        return replace(scenario, failure_probability=value)
-    if axis == "coupling_c1_mag":
-        model = scenario.coupling
-        if model is None:
-            model = CouplingModel(q=15, c1_magnitude=0.0, phase_mode="random")
-        return replace(scenario, coupling=replace(model, c1_magnitude=value))
-    raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    if axis != "coupling_c1_mag":
+        return replace(scenario, **{axis: value})
+    model = scenario.coupling or CouplingModel(phase_mode="random")
+    return replace(scenario, coupling=replace(model, c1_magnitude=value))
 
 
 def run_sweep(base, axis, grid, workers=1):

@@ -41,7 +41,7 @@ def expand(generators, r, max_order=MAX_ORDER):
     for g in gens:
         elems = np.unique((elems[None, :] + g.as_array()[:, None] * factor).ravel())
         factor *= difference_coarray(g).ula_size
-    return SensorArray(tuple(int(e) for e in elems), name=name)
+    return SensorArray(elems.tolist(), name=name)
 
 
 def cantor(r):

@@ -55,7 +55,7 @@ class DesignConstraints:
     require_hole_free: bool = True
     max_fragility: Fraction = Fraction(3, 10)
     max_leakage: float = 1 / 3
-    coupling: CouplingModel = CouplingModel(q=15, c1_magnitude=0.3)
+    coupling: CouplingModel = CouplingModel()
     exact_aperture: bool = True
 
     def __post_init__(self):

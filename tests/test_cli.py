@@ -6,7 +6,7 @@ import platform
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -279,6 +279,24 @@ def test_search_json_matches_library(tmp_path, capsys):
     assert [[row[key] for key in ("k", "explored", "pruned", "complete")]
             for row in doc["by_size"]] == [list(row) for row in lib.by_size]
     assert (tmp_path / "res.json.manifest.json").exists()
+
+
+# a bare MemoryError() has no text of its own; numpy's names the allocation
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 3.04 GiB for an array with shape (408000000,) "
+                 "and data type int64"),
+     "error: Unable to allocate 3.04 GiB for an array with shape (408000000,) "
+     "and data type int64\n"),
+], ids=["bare", "numpy"])
+def test_memory_error_exits_two_with_one_line(exc, line, monkeypatch, capsys):
+    def out_of_memory(args, argv):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_search", out_of_memory)
+    assert main(["search", "--max-aperture", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", line)
 
 
 def test_interrupt_exits_130_with_one_line(monkeypatch, capsys):
@@ -651,6 +669,40 @@ def test_cli_surface_has_one_spelling_per_input(capsys):
         text = capsys.readouterr().out
         if name == "baseline":
             assert all(f"{kind}:" in text for kind in _BUILDERS)
+
+
+# each parser default the library also states, as (subcommand, dest, owner,
+# field); simulate's --coupling-c1-mag 0.0 is CLI policy and not listed
+LIBRARY_DEFAULTS = [
+    ("search", "symmetric", DesignConstraints, "require_symmetric"),
+    ("search", "hole_free", DesignConstraints, "require_hole_free"),
+    ("search", "max_fragility", DesignConstraints, "max_fragility"),
+    ("search", "max_leakage", DesignConstraints, "max_leakage"),
+    ("search", "exact_aperture", DesignConstraints, "exact_aperture"),
+    ("search", "coupling_q", CouplingModel, "q"),
+    ("search", "coupling_c1_mag", CouplingModel, "c1_magnitude"),
+    ("compare", "coupling_q", CouplingModel, "q"),
+    ("compare", "coupling_c1_mag", CouplingModel, "c1_magnitude"),
+    ("simulate", "coupling_q", CouplingModel, "q"),
+    ("simulate", "snapshots", Scenario, "snapshots"),
+    ("simulate", "trials", Scenario, "trials"),
+    ("simulate", "snr", Scenario, "snr_db"),
+    ("simulate", "seed", Scenario, "seed"),
+    ("simulate", "grid_size", Scenario, "grid_size"),
+]
+
+
+def test_parser_defaults_are_the_library_defaults():
+    minimal = {"search": ["--max-aperture", "5"], "compare": [],
+               "simulate": ["--sources", "1", "--sweep", "snr", "--grid", "0"]}
+    parser = cli._build_parser()
+    parsed = {sub: parser.parse_args([sub] + argv) for sub, argv in minimal.items()}
+    for sub, dest, owner, name in LIBRARY_DEFAULTS:
+        default = next(f.default for f in fields(owner) if f.name == name)
+        got = getattr(parsed[sub], dest)
+        assert (type(got), got) == (type(default), default), (sub, dest)
+    # the search's coupling model is the rules' default one
+    assert cli._coupling_from_args(parsed["search"]) == DesignConstraints(1).coupling
 
 
 def test_compare_takes_cantor_baselines(tmp_path):

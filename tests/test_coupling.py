@@ -85,6 +85,30 @@ def test_matrix_structure():
     assert np.array_equal(C, C.T)  # symmetric in separation
 
 
+def oracle_coupling_matrix(elems, coefficients):
+    """The dense definition, entry by entry: 1 on the diagonal, c_d at
+    separation d = 1..q, 0 beyond q."""
+    q = len(coefficients)
+    C = np.zeros((len(elems), len(elems)), dtype=complex)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            d = abs(a - b)
+            C[i, j] = 1.0 if d == 0 else coefficients[d - 1] if d <= q else 0.0
+    return C
+
+
+# q = 0, q inside the aperture (20), q at and past it
+@pytest.mark.parametrize("q", [0, 1, 7, 20, 33])
+@pytest.mark.parametrize("phase_mode", ["fixed", "random"])
+def test_matrix_equals_dense_definition(q, phase_mode):
+    arr = SensorArray(S_ELEMS)
+    model = CouplingModel(q=q, c1_magnitude=0.4, phase_mode=phase_mode)
+    C = coupling_matrix(arr, model, np.random.default_rng(5))
+    want = oracle_coupling_matrix(S_ELEMS, model.coefficients(np.random.default_rng(5)))
+    assert C.dtype == complex
+    assert np.array_equal(C, want)
+
+
 def test_matrix_without_coupling_is_identity():
     C = coupling_matrix(SensorArray((0, 2, 5)), CouplingModel(c1_magnitude=0.0))
     assert np.allclose(C, np.eye(3))

@@ -576,6 +576,9 @@ def test_sweep_axis_validation():
     sc = _scenario()
     with pytest.raises(ValueError):
         run_sweep(sc, "bandwidth", [1.0])
+    # a Scenario field that is not a sweep axis
+    with pytest.raises(ValueError, match="unknown sweep axis 'trials'"):
+        run_sweep(sc, "trials", [2.0])
     with pytest.raises(ValueError):
         run_sweep(sc, "snr_db", [])
 
