@@ -7,6 +7,7 @@ run can be reproduced byte for byte from its manifest.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -33,8 +34,6 @@ from .search import APERTURE_GUARD, MAX_SPAN, DesignConstraints, solve_p1
 def _config_of(args):
     cfg = {}
     for k, v in sorted(vars(args).items()):
-        if k == "func":
-            continue
         cfg[k] = str(v) if isinstance(v, Fraction) else v
     return cfg
 
@@ -68,22 +67,29 @@ def _write_output(path, text, argv, args):
         fh.write("\n")
 
 
-def _summary_line(array):
-    p = difference_coarray(array)
-    return (f"N={len(array)} aperture={array.aperture} |D|={p.dof} "
-            f"|U|={p.ula_size} hole_free={p.hole_free} "
+def _summary_line(array, hole_free=False):
+    """One line of sizes and coarray facts. hole_free=True states that the
+    array is known to be hole-free, as an expansion of hole-free generators
+    is: then |D| = |U| = 2 * aperture + 1 and no pair is counted."""
+    if hole_free:
+        dof = ula = 2 * array.aperture + 1
+    else:
+        p = difference_coarray(array)
+        dof, ula, hole_free = p.dof, p.ula_size, p.hole_free
+    return (f"N={len(array)} aperture={array.aperture} |D|={dof} "
+            f"|U|={ula} hole_free={hole_free} "
             f"symmetric={is_symmetric(array)}")
 
 
-def _emit_array(array, args, argv):
+def _emit_array(array, args, argv, hole_free=False):
     text = _array_json(array)
     if args.out:
         _write_output(args.out, text, argv, args)
-        print(_summary_line(array))
+        print(_summary_line(array, hole_free))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-        print(_summary_line(array), file=sys.stderr)
+        print(_summary_line(array, hole_free), file=sys.stderr)
     return 0
 
 
@@ -232,7 +238,11 @@ def _cmd_expand(args, argv):
     out = expand(gens[0] if len(gens) == 1 else gens, args.order, max_order=args.max_order)
     if args.name:
         out = SensorArray(out.elements, name=args.name)
-    return _emit_array(out, args, argv)
+    # hole-free generators expand to a hole-free array (the M^r law), so
+    # the summary line needs no pair count
+    used = gens[:args.order]
+    hole_free = bool(used) and all(difference_coarray(g).hole_free for g in used)
+    return _emit_array(out, args, argv, hole_free)
 
 
 def _cmd_baseline(args, argv):
@@ -374,6 +384,7 @@ def _cmd_compare(args, argv):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fracarray",
@@ -387,7 +398,6 @@ def _build_parser():
     p.add_argument("--beampattern", metavar="PATH", help="write beampattern samples as CSV")
     p.add_argument("--samples", type=int, default=1024, help="beampattern sample count")
     p.add_argument("--normalize", action="store_true", help="scale the beampattern by its DC value")
-    p.set_defaults(func=_cmd_analyze)
 
     p = subs.add_parser("expand", help="fractal expansion of one or more generators")
     p.add_argument("generators", nargs="+", metavar="FILE",
@@ -397,13 +407,11 @@ def _build_parser():
     p.add_argument("--max-order", type=int, default=MAX_ORDER, help="safety cap on the order")
     p.add_argument("--name", help="name for the output array")
     p.add_argument("--out", metavar="PATH", help="write the array JSON here instead of stdout")
-    p.set_defaults(func=_cmd_expand)
 
     p = subs.add_parser("baseline", help="standard comparison arrays and Cantor arrays")
     kinds = " ".join(f"{k}:{','.join(names)}" for k, (_, names) in _BUILDERS.items())
     p.add_argument("spec", metavar="KIND:P,P", help=f"one of {kinds}, e.g. nested:4,4")
     p.add_argument("--out", metavar="PATH", help="write the array JSON here instead of stdout")
-    p.set_defaults(func=_cmd_baseline)
 
     p = subs.add_parser("search", help="exhaustive minimum-sensor design search")
     p.add_argument("--max-aperture", type=int, required=True)
@@ -421,7 +429,6 @@ def _build_parser():
     p.add_argument("--all-solutions", action="store_true")
     p.add_argument("--force", action="store_true", help="allow apertures beyond the guard")
     p.add_argument("--json", metavar="PATH")
-    p.set_defaults(func=_cmd_search)
 
     p = subs.add_parser("simulate", help="Monte-Carlo DOA sweep with coarray MUSIC")
     p.add_argument("--array", metavar="PATH", help="array JSON file")
@@ -446,7 +453,6 @@ def _build_parser():
                         "without it every phase is drawn at random")
     p.add_argument("--out", metavar="PATH", help="write sweep CSV here instead of stdout")
     p.add_argument("--dump-trials", metavar="PATH", help="write per-trial JSONL here")
-    p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("compare", help="metric table across several arrays")
     p.add_argument("--arrays", metavar="A,B,...", help="comma-separated array JSON files")
@@ -457,7 +463,6 @@ def _build_parser():
     _add_coupling_flags(p)
     p.add_argument("--json", metavar="PATH")
     p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=_cmd_compare)
 
     return parser
 
@@ -465,8 +470,10 @@ def _build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
+    # looked up per call, so a handler replaced after the parser was built runs
+    handler = globals()["_cmd_" + args.subcommand]
     try:
-        code = args.func(args, argv)
+        code = handler(args, argv)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

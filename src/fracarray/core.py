@@ -15,6 +15,19 @@ class ArrayFormatError(ValueError):
     """Raised for malformed array files or element lists."""
 
 
+def _checked_element(raw):
+    # True == 1, so a boolean would otherwise pass as a position
+    if isinstance(raw, (bool, np.bool_)):
+        raise ArrayFormatError(f"bad element {raw!r}")
+    try:
+        v = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ArrayFormatError(f"bad element {raw!r}") from None
+    if v != raw:
+        raise ArrayFormatError(f"non-integer element {raw!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class SensorArray:
     """Strictly increasing non-negative integer sensor positions.
@@ -29,25 +42,21 @@ class SensorArray:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        cleaned = []
-        for raw in self.elements:
-            # True == 1, so a boolean would otherwise pass as a position
-            if isinstance(raw, (bool, np.bool_)):
-                raise ArrayFormatError(f"bad element {raw!r}")
-            try:
-                v = int(raw)
-            except (TypeError, ValueError, OverflowError):
-                raise ArrayFormatError(f"bad element {raw!r}") from None
-            if v != raw:
-                raise ArrayFormatError(f"non-integer element {raw!r}")
-            cleaned.append(v)
-        if not cleaned:
-            raise ArrayFormatError("array needs at least one element")
+        raw_elements = tuple(self.elements)
+        # exact ints (expand's tolist(), decoded JSON) need no element checks
+        if raw_elements and set(map(type, raw_elements)) <= {int}:
+            cleaned = raw_elements
+        else:
+            cleaned = [_checked_element(raw) for raw in raw_elements]
+            if not cleaned:
+                raise ArrayFormatError("array needs at least one element")
         cleaned = sorted(set(cleaned))
         lo = cleaned[0]
         if cleaned[-1] - lo >= 2 ** 63:  # positions are stored as int64
             raise ArrayFormatError(f"aperture {cleaned[-1] - lo} does not fit a 64-bit integer")
-        object.__setattr__(self, "elements", tuple(e - lo for e in cleaned))
+        if lo:
+            cleaned = [e - lo for e in cleaned]
+        object.__setattr__(self, "elements", tuple(cleaned))
         if not isinstance(self.name, str):
             raise ArrayFormatError("array name must be a string")
 

@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracarray import (EconomyReport, EstimationFailure, IdentifiabilityError, SensorArray,
-                       check_constraints, coupling_matrix, difference_coarray)
+from fracarray import (ArrayFormatError, EconomyReport, EstimationFailure, IdentifiabilityError,
+                       SensorArray, check_constraints, coupling_matrix, difference_coarray)
 
 # reference designs used across the suite
 S_ELEMS = (0, 1, 2, 4, 7, 10, 13, 16, 18, 19, 20)
@@ -30,6 +30,28 @@ def oracle_weight_map(elems):
             d = a - b
             w[d] = w.get(d, 0) + 1
     return w
+
+
+def oracle_normalize(elements):
+    """SensorArray's normalization element by element: each element is
+    checked and converted, then the set is sorted and shifted to start at 0."""
+    cleaned = []
+    for raw in elements:
+        if isinstance(raw, (bool, np.bool_)):
+            raise ArrayFormatError(f"bad element {raw!r}")
+        try:
+            v = int(raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ArrayFormatError(f"bad element {raw!r}") from None
+        if v != raw:
+            raise ArrayFormatError(f"non-integer element {raw!r}")
+        cleaned.append(v)
+    if not cleaned:
+        raise ArrayFormatError("array needs at least one element")
+    lo, hi = min(cleaned), max(cleaned)
+    if hi - lo >= 2 ** 63:
+        raise ArrayFormatError(f"aperture {hi - lo} does not fit a 64-bit integer")
+    return tuple(sorted({v - lo for v in cleaned}))
 
 
 def oracle_reflect(array):

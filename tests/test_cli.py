@@ -6,6 +6,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -28,10 +29,11 @@ from fracarray import (
     run_sweep,
     solve_p1,
 )
-from fracarray import cli
+from fracarray import cli, core
 from fracarray.baselines import _BUILDERS
 from fracarray.cli import _parse_grid, main
-from conftest import S_ELEMS, oracle_solve_p1
+from fracarray.core import load_array
+from conftest import S_ELEMS, oracle_hole_free, oracle_solve_p1
 
 
 def _write(path, elements, name=""):
@@ -199,6 +201,120 @@ def test_expand_multi_generators(tmp_path):
     want = expand([SensorArray((0, 1)), SensorArray((0, 1, 2))], 2)
     assert doc["elements"] == list(want.elements)
     assert doc["name"] == "combo"
+
+
+def _expand_summary(gens, order, tmp_path, capsys, monkeypatch):
+    """Run expand on generator element tuples; return its summary line, the
+    counted line of the array it wrote, and every array a coarray was
+    built for during the run."""
+    files = [_write(tmp_path / f"gen{i}.json", g) for i, g in enumerate(gens)]
+    out = tmp_path / "out.json"
+    built = []
+    init = core.CoarrayProfile.__init__
+
+    def spy(self, array):
+        built.append(array)
+        init(self, array)
+
+    with monkeypatch.context() as m:
+        m.setattr(core.CoarrayProfile, "__init__", spy)
+        assert main(["expand", *files, "--order", str(order), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    return line, cli._summary_line(load_array(out)), built
+
+
+@pytest.mark.parametrize("gens, order", [
+    *[([(0, 1, 4, 6)], r) for r in range(7)],
+    *[([(0, 1, 2, 6, 9)], r) for r in range(1, 5)],
+    ([(0, 1, 4)], 1), ([(0, 1, 4)], 3), ([(0, 1, 4, 6), (0, 1, 4)], 2),
+    ([(0, 1, 4), (0, 1, 4, 6), (0, 1, 2)], 3), ([(0, 1, 4, 6), (0, 2, 3)], 1),
+], ids=[*[f"g^{r}" for r in range(7)], *[f"mra5^{r}" for r in range(1, 5)],
+        "holed^1", "holed^3", "g,holed", "holed,g,ula", "g,holed@1"])
+def test_expand_summary_line_equals_the_counted_line(gens, order, tmp_path, capsys,
+                                                     monkeypatch):
+    line, counted, built = _expand_summary(gens, order, tmp_path, capsys, monkeypatch)
+    assert line == counted
+    used = gens[:order]
+    if used and all(oracle_hole_free(g) for g in used):
+        # the M^r law gives the line: only generators get a coarray
+        assert all(a.elements in gens for a in built)
+
+
+def _holed_elements(rng):
+    """Four random sensors over aperture 9 whose coarray has a hole."""
+    while True:
+        g = (0, *sorted(rng.choice(np.arange(1, 9), size=2, replace=False).tolist()), 9)
+        if not oracle_hole_free(g):
+            return g
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_expand_summary_line_on_random_mixed_sequences(seed, hole_free_pool, tmp_path, capsys,
+                                                       monkeypatch):
+    rng = np.random.default_rng(seed)
+    pool = [g for g in hole_free_pool if len(g) >= 2]
+    gens = [pool[i] for i in rng.integers(len(pool), size=3)]
+    if seed % 3 == 0:
+        # one holed generator at a random order sends the line to the counted route
+        gens[int(rng.integers(3))] = _holed_elements(rng)
+    line, counted, built = _expand_summary(gens, 3, tmp_path, capsys, monkeypatch)
+    assert line == counted
+    if all(oracle_hole_free(g) for g in gens):
+        assert all(a.elements in gens for a in built)
+    else:
+        assert load_array(tmp_path / "out.json") in built
+
+
+def test_expand_order_8_in_bounded_memory(tmp_path, capsys, monkeypatch):
+    # (0,1,4,6)^8: N = 65,536 and A = 407,865,360, whose counted summary line
+    # would allocate a 3 GiB count vector per block; the line comes from
+    # the generator instead
+    gen = _write(tmp_path / "g.json", (0, 1, 4, 6))
+    out = tmp_path / "g8.json"
+    init = core.CoarrayProfile.__init__
+
+    def generators_only(self, array):
+        # fail at once, not after gigabytes, if the expansion gets counted
+        assert len(array) <= 4, f"coarray of {len(array)} sensors built"
+        init(self, array)
+
+    monkeypatch.setattr(core.CoarrayProfile, "__init__", generators_only)
+    tracemalloc.start()
+    try:
+        code = main(["expand", gen, "--order", "8", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    aperture = (13 ** 8 - 1) // 2
+    assert capsys.readouterr().out == (
+        f"N=65536 aperture={aperture} |D|={2 * aperture + 1} |U|={2 * aperture + 1} "
+        f"hole_free=True symmetric=False\nwrote {out}\n")
+    assert load_array(out) == expand(SensorArray((0, 1, 4, 6)), 8)
+    assert peak < 200 * 2 ** 20
+
+
+def test_parser_is_built_once_and_handlers_looked_up_per_call(tmp_path, monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    gen = _write(tmp_path / "g.json", (0, 1, 4, 6))
+    report = tmp_path / "r.json"
+    assert main(["baseline", "ula:4"]) == 0
+    assert main(["search", "--max-aperture", "6", "--json", str(tmp_path / "s.json")]) == 1
+    assert main(["expand", gen, "--order", "2", "--name", "x",
+                 "--out", str(tmp_path / "g2.json")]) == 0
+    assert main(["analyze", gen, "--json", str(report)]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # nothing of the earlier calls, and no handler, reaches the manifest
+    manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+    assert manifest["config"] == {"array": gen, "beampattern": None, "json": str(report),
+                                  "normalize": False, "samples": 1024,
+                                  "subcommand": "analyze"}
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_baseline", lambda args, argv: calls.append(argv) or 5)
+    assert main(["baseline", "ula:4"]) == 5
+    assert calls == [["baseline", "ula:4"]]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_expand_requires_a_generator(capsys):

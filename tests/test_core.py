@@ -1,3 +1,4 @@
+import enum
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import (
     oracle_central_halfwidth,
     oracle_differences,
     oracle_hole_free,
+    oracle_normalize,
     oracle_reflect,
     oracle_weight_map,
     random_elements,
@@ -165,6 +167,39 @@ def test_rejects_apertures_beyond_int64():
         SensorArray((0, 2 ** 63))
     with pytest.raises(ArrayFormatError, match="64-bit"):
         SensorArray((-1, 2 ** 63 - 1))
+
+
+class _Position(enum.IntEnum):
+    FIVE = 5
+
+
+# every kind of input the constructor meets, each against the element-by-
+# element oracle: the same normalized tuple or the same error text
+@pytest.mark.parametrize("elements", [
+    (0, True, 5), (np.bool_(1), 2), (0, 1.5), (0, "3"), (None, 1), (0, _Position.FIVE),
+    (np.int64(4), 1, np.int64(9)), (np.int64(2 ** 63 - 1), -1), (7, 3, 10), [4, 4, 1, 4],
+    (-3, -1, 2), (5, 6, 8), (0, 2.0, 1), (0, float("nan")), (float("inf"),), (), (0,),
+    (0, 2 ** 63), (-1, 2 ** 63 - 1), (0, 2 ** 63 - 1), (-(2 ** 62), 2 ** 62 - 1),
+], ids=["bool", "np_bool", "float", "str", "none", "int_enum", "np_int64_mix",
+        "np_int64_overflow", "unsorted", "duplicated", "negative", "shifted", "integral_float",
+        "nan", "inf", "empty", "single", "aperture_2_63", "shifted_aperture_2_63",
+        "aperture_2_63_minus_1", "negative_aperture_2_63_minus_1"])
+def test_normalization_matches_the_element_by_element_oracle(elements):
+    try:
+        want = oracle_normalize(elements)
+    except ArrayFormatError as exc:
+        with pytest.raises(ArrayFormatError) as got:
+            SensorArray(elements)
+        assert str(got.value) == str(exc)
+    else:
+        got = SensorArray(elements).elements
+        assert got == want
+        assert all(type(e) is int for e in got)
+
+
+def test_accepts_any_iterable_of_positions():
+    assert SensorArray(e for e in (6, 2, 4)).elements == (0, 2, 4)
+    assert SensorArray(np.array([3, 1])).elements == (0, 2)
 
 
 def test_accepts_integral_floats_and_numpy_ints():
