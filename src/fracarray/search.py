@@ -8,15 +8,17 @@ numpy kernel builds them outside-in, block by block (at most BLOCK masks
 each): a pair at one of the t longest lags joins sensors at most t from
 either end, so the patterns of those outer positions are enumerated first,
 once per search for each family shape, from a table of low-bit masks
-grouped by popcount. A pattern is joined to the inner positions only if it
-covers the t longest lags and makes at most as many sensors essential at
-lags span - t .. span as the fragility rule allows for the size at hand.
-Each block then keeps its hole-free masks, the complete rulers, with one
-AND-shift per shorter lag. The complete rulers of consecutive blocks of one
-(span, k) are pooled, up to BLOCK masks, and each pool goes through leakage
-and then fragility, all exact. Fragility is a running cut: lags from the
-longest add their essential sensors, and a mask leaves as soon as it holds
-too many.
+grouped by popcount. Each pattern carries the smallest size it may join,
+from the sensors it makes essential at lags span - t .. span and from the
+leakage of its own pairs, which every candidate holding it contains. A
+pattern is joined to the inner positions only if it covers the t longest
+lags and that smallest size is at most the size at hand. Each block then
+keeps its hole-free masks, the complete rulers, with one AND-shift per
+shorter lag. The complete rulers of consecutive blocks of one (span, k) are
+pooled, up to BLOCK masks, and each pool goes through leakage and then
+fragility, all exact. Fragility is a running cut: lags from the longest add
+their essential sensors, and a mask leaves as soon as it holds too many.
+The optima are decoded from their masks in numpy.
 """
 
 import functools
@@ -31,10 +33,11 @@ from .analysis import economy
 from .core import SensorArray, difference_coarray, is_symmetric
 from .coupling import CouplingModel, leakage_from_counts, leakage_from_profile
 
-# with the default rules A=28 takes about 0.04 s on a 2-core VM and A=29
-# about 0.35 s. --max-fragility 1 or --no-hole-free turn the outer fragility
-# cut off, and an infeasible A=28 query then still takes 9-13 s, as before
-# the cut; the guard moves only when a measurement justifies it
+# with the default rules A=28 takes about 0.05 s on a 2-core VM and A=29
+# about 0.27 s. The outer cuts depend on the rules: at A=28 an infeasible
+# --no-hole-free query builds all 134M candidates in about 13 s, and
+# --max-leakage 0.25 builds 18.9M in about 2.8 s; the guard moves only when
+# a measurement justifies it
 APERTURE_GUARD = 28
 
 
@@ -121,9 +124,12 @@ class SearchResult:
 
     explored counts candidates built and tested by the block kernel;
     pruned counts candidates ruled out by sound bounds without being built:
-    too few sensors for a hole-free coarray, or, under the hole-free rule,
-    outer positions that leave one of the t longest lags without a pair or
-    already make more sensors essential than the fragility rule allows.
+    too few sensors for a hole-free coarray; under the hole-free rule, outer
+    positions that leave one of the t longest lags without a pair or already
+    make more sensors essential than the fragility rule allows; or outer
+    positions (the ends and any fixed centre without the hole-free rule)
+    whose own pairs already hold more coupling leakage than the rule allows
+    for the size.
     by_size holds (k, explored, pruned, complete) for each size tried;
     explored + pruned is the number of candidates of that size, and
     complete counts the explored ones that reach the leakage rule: the
@@ -208,11 +214,13 @@ def _place(free, first, span, symmetric):
     return masks
 
 
-def _outer_table(span, fixed, bits, symmetric, t):
+def _outer_table(span, fixed, bits, symmetric, t, cons=None):
     """(left, n_out, by_popcount) for one (span, fixed, bits) family shape:
-    by_popcount[h] holds the masks of the n_out-bit outer patterns of
-    popcount h that cover lags span - t .. span - 1, and the count of
-    sensors each makes essential at lags span - t .. span.
+    by_popcount[h] holds (masks, ess, kmin) for the n_out-bit outer patterns
+    of popcount h that cover lags span - t .. span - 1: their masks, the
+    count of sensors each makes essential at lags span - t .. span, and the
+    smallest size at which each may pass the rules of cons (0 if cons is
+    None).
 
     A pattern's low left bits are the sensors from 1 (and their mirrors), its
     other bits those ending at span - 1. A pair at lag d >= span - t joins
@@ -235,29 +243,67 @@ def _outer_table(span, fixed, bits, symmetric, t):
     for d in range(max(1, span - t), span + 1) if t else ():
         _mark_essential(ess, masks, d)
     ess = np.bitwise_count(ess)
+    if cons is None:
+        kmin = np.zeros(masks.size, dtype=np.int64)
+    else:
+        kmin = _smallest_sizes(masks, ess, span, cons)
     # the table runs in popcount order, so each popcount is one slice
     edges = np.searchsorted(np.bitwise_count(outer), np.arange(n_out + 2)).tolist()
-    return left, n_out, [(masks[a:b], ess[a:b]) for a, b in zip(edges, edges[1:])]
+    return left, n_out, [(masks[a:b], ess[a:b], kmin[a:b]) for a, b in zip(edges, edges[1:])]
+
+
+# relative margin on the leakage cap of the outer cut: far above the
+# rounding of the leakage formula (about 1e-16), and it lets through only
+# patterns within a billionth of the cap, which the leaf then decides
+LEAKAGE_MARGIN = 1e-9
+
+
+def _smallest_sizes(masks, ess, span, cons):
+    """For each outer pattern, the smallest size n at which a candidate
+    holding it may pass both rules of cons.
+
+    Fragility: ess sensors are already essential and the set only grows, so
+    ess * den <= num * n, exact in integers. Leakage: a candidate holds the
+    pattern's pairs at every coupled lag, and at a fixed n the leakage grows
+    with the pair counts, so the pattern's own leakage at n, by
+    leakage_from_counts, must stay within max_leakage * (1 + LEAKAGE_MARGIN);
+    the margin absorbs the rounding. The leakage falls as n grows, so the
+    sizes that fail it are 1 .. kmin - 1. It is checked only when
+    max_leakage < 1."""
+    # no candidate holds more than span + 1 sensors, so larger sizes clip
+    f, top = cons.max_fragility, span + 1
+    sizes = [min(-(-e * f.denominator // f.numerator), top + 1) for e in range(top + 1)]
+    kmin = np.array(sizes, dtype=np.int64)[ess]
+    if cons.max_leakage < 1 and masks.size:
+        cap, n = cons.max_leakage * (1 + LEAKAGE_MARGIN), np.arange(1, top + 1)
+        # (patterns x 1 x lags) pair counts against sizes 1 .. top give one
+        # leakage per (pattern, size); 256 patterns at a time keep those
+        # matrices small (a whole A = 22 table at once, 2,118 x 23, raised
+        # the benchmark's peak RSS by 0.2 MB)
+        pairs = _lag_pairs(masks, min(cons.coupling.q, span))[:, None, :]
+        fails = [(leakage_from_counts(pairs[s:s + 256], n, cons.coupling.c1_magnitude) > cap)
+                 .sum(axis=1) for s in range(0, masks.size, 256)]
+        kmin = np.maximum(kmin, 1 + np.concatenate(fails))
+    return kmin
 
 
 def _candidate_blocks(span, k, symmetric, t, bound=None, outer_table=_outer_table):
     """Yield the masks of the size-k candidates spanning exactly span whose
-    lags span - t .. span - 1 all have a pair and whose outer positions make
-    at most bound sensors essential (no limit if bound is None), in blocks,
-    family by family.
+    lags span - t .. span - 1 all have a pair and whose outer patterns may
+    join size k, in blocks, family by family. A pattern may join when its
+    kmin from outer_table is at most k or, given a bound, when it makes at
+    most bound sensors essential.
 
     Each family's outer patterns come from outer_table, and each one kept is
     joined to every inner mask, the n_in bits from 1 + left, of the
-    remaining popcount. The essential set only grows as lags are added, so a
-    pattern over the bound cannot lead to a feasible mask. t = 0 yields every
-    candidate."""
+    remaining popcount. t = 0 yields every candidate of a table without
+    rules."""
     for fixed, bits, count in _families(span, k, symmetric):
         left, n_out, by_popcount = outer_table(span, fixed, bits, symmetric, t)
         n_in = bits - n_out
         for h in range(max(0, count - n_in), min(n_out, count) + 1):
-            masks, ess = by_popcount[h]
-            if bound is not None:
-                masks = masks[ess <= bound]
+            masks, ess, kmin = by_popcount[h]
+            masks = masks[kmin <= k if bound is None else ess <= bound]
             if not masks.size:
                 continue
             for free in _combinations(n_in, count - h, max(1, BLOCK // masks.size)):
@@ -300,8 +346,16 @@ def _fragility_cut(masks, span, k, bound):
     return masks[np.bitwise_count(ess) <= bound]
 
 
-def _elements(mask, span):
-    return tuple(e for e in range(span + 1) if mask >> e & 1)
+def _optima(masks, k):
+    """The element lists of size-k masks, in lexicographic order. Row i of
+    the little-endian bit matrix holds bit e of mask i in column e. Packed
+    big-endian, a row reads as its mask with the bits reversed, and the
+    lists run in descending order of that: the first position where two
+    lists differ is the lowest bit where their masks do."""
+    bits = np.unpackbits(np.asarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    order = np.argsort(np.packbits(bits, axis=1).view(">u8").ravel())[::-1]
+    return np.nonzero(bits[order])[1].reshape(-1, k).tolist()
 
 
 def _hole_free(masks, lags):
@@ -343,10 +397,9 @@ def _solve_pruned(cons):
     # built; without the hole-free rule every candidate is built
     t = _LOW_BITS // 2 if cons.require_hole_free else 0
     # the outer tables of a family shape serve every size
-    outer_table = functools.cache(_outer_table)
+    outer_table = functools.cache(functools.partial(_outer_table, cons=cons))
     by_size = []
     for k in range(1, A + 2):
-        bound = _essential_bound(cons, k)
         # every candidate of size k not explored is pruned unbuilt
         found, candidates, explored, complete = [], 0, 0, 0
         for span in spans:
@@ -359,8 +412,8 @@ def _solve_pruned(cons):
             # pool; a pool holds at most BLOCK masks, which bounds the
             # (masks x lags) float temporaries of leakage
             pool, held = [], 0
-            for masks in _candidate_blocks(span, k, cons.require_symmetric, t, bound,
-                                           outer_table):
+            for masks in _candidate_blocks(span, k, cons.require_symmetric, t,
+                                           outer_table=outer_table):
                 explored += masks.size
                 if cons.require_hole_free:
                     masks = _hole_free(masks, span - t - 1)
@@ -374,7 +427,7 @@ def _solve_pruned(cons):
                 found += _feasible(np.concatenate(pool), span, k, cons).tolist()
         by_size.append((k, explored, candidates - explored, complete))
         if found:
-            return [SensorArray(e) for e in sorted(_elements(m, A) for m in found)], k, by_size
+            return [SensorArray(e) for e in _optima(found, k)], k, by_size
     return [], 0, by_size
 
 

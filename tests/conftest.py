@@ -23,6 +23,11 @@ def oracle_differences(elems):
     return {a - b for a in elems for b in elems}
 
 
+def oracle_elements(mask, span):
+    """The sensor positions of a search candidate mask, one bit at a time."""
+    return tuple(e for e in range(span + 1) if mask >> e & 1)
+
+
 def oracle_weight_map(elems):
     w = {}
     for a in elems:

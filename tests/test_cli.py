@@ -482,9 +482,10 @@ def test_search_rejects_aperture_beyond_a_mask(capsys):
 
 
 # stdout with seconds masked: the optima as the per-candidate route printed
-# them, the counts of the outside-in build with its outer fragility cut
+# them, the counts of the outside-in build with its outer fragility and
+# leakage cut
 SEARCH_20_GOLDEN = """\
-minimum size 10, 2 solution(s), explored 3502, pruned 166264, X.XXs
+minimum size 10, 2 solution(s), explored 2744, pruned 167022, X.XXs
   0 1 2 3 7 9 15 17 19 20
   0 1 3 5 11 13 17 18 19 20
 """

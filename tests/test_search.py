@@ -22,7 +22,14 @@ from fracarray import (
     solve_p1,
 )
 from fracarray import coupling, search
-from conftest import S_ELEMS, G_ELEMS, oracle_differences, oracle_essential, oracle_solve_p1
+from conftest import (
+    S_ELEMS,
+    G_ELEMS,
+    oracle_differences,
+    oracle_elements,
+    oracle_essential,
+    oracle_solve_p1,
+)
 
 
 def test_constraint_defaults():
@@ -169,11 +176,11 @@ def _digest(res):
 # outcomes of the benchmark queries. The optima and their order were
 # recorded from the per-candidate route the block kernel replaced. explored
 # and pruned are those of the outside-in build, which never builds a mask
-# whose outermost lags are uncovered or whose outer positions already make
-# too many sensors essential; complete counts the hole-free masks among those
-# built. The hole-free candidates of each size are pinned through the kernel
-# with the fragility bound off, which builds every candidate covering the
-# outer lags
+# whose outermost lags are uncovered, or whose outer positions already make
+# too many sensors essential or hold too much coupling for the size;
+# complete counts the hole-free masks among those built. The hole-free
+# candidates of each size are pinned through the kernel without rules, which
+# builds every candidate covering the outer lags
 G2 = (0, 1, 2, 3, 7, 9, 15, 17, 19, 20)
 
 
@@ -190,22 +197,22 @@ def _hole_free_counts(A, res, symmetric=False):
 
 def test_pinned_symmetric_aperture_20():
     res = solve_p1(DesignConstraints(max_aperture=20, require_symmetric=True))
-    assert _outcome(res) == (11, (S_ELEMS,), 18, 494)
-    assert _complete(res) == [0] * 10 + [2]
+    assert _outcome(res) == (11, (S_ELEMS,), 10, 502)
+    assert _complete(res) == [0] * 10 + [1]
     assert _hole_free_counts(20, res, symmetric=True) == [0] * 9 + [1, 9]
 
 
 def test_pinned_aperture_20():
     res = solve_p1(DesignConstraints(max_aperture=20))
-    assert _outcome(res) == (10, (G2, G_ELEMS), 3_502, 166_264)
-    assert _complete(res) == [0] * 8 + [8, 1_630]
+    assert _outcome(res) == (10, (G2, G_ELEMS), 2_744, 167_022)
+    assert _complete(res) == [0] * 8 + [8, 1_464]
     assert _hole_free_counts(20, res) == [0] * 7 + [150, 4_064, 19_107]
 
 
 def test_pinned_aperture_22():
     res = solve_p1(DesignConstraints(max_aperture=22))
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (11, 156, 21_010, 674_850)
-    assert _complete(res) == [0] * 9 + [1_084, 10_844]
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (11, 156, 17_636, 678_224)
+    assert _complete(res) == [0] * 9 + [1_022, 9_752]
     assert _hole_free_counts(22, res) == [0] * 7 + [18, 2_558, 25_308, 84_768]
     assert res.optimum[0].elements == (0, 1, 2, 3, 4, 6, 8, 10, 17, 21, 22)
     assert res.optimum[-1].elements == (0, 2, 5, 7, 11, 12, 18, 19, 20, 21, 22)
@@ -214,9 +221,8 @@ def test_pinned_aperture_22():
 
 def test_pinned_infeasible_aperture_18():
     res = solve_p1(DesignConstraints(max_aperture=18, max_leakage=0.25))
-    assert _outcome(res) == (0, (), 26_736, 104_336)
-    assert _complete(res) == [0] * 8 + [48, 1_654, 4_345, 6_151, 5_813, 5_046, 2_166,
-                                        657, 135, 17, 1]
+    assert _outcome(res) == (0, (), 80, 130_992)
+    assert _complete(res) == [0] * 11 + [20, 22, 38] + [0] * 5
     assert _hole_free_counts(18, res) == [0] * 7 + [500, 4_140, 10_445, 14_655, 14_184, 10_208,
                                                 5_538, 2_246, 663, 135, 17, 1]
     assert res.message == "no feasible array within aperture 18"
@@ -226,8 +232,9 @@ def test_pinned_aperture_28():
     # the optima and their digest as the kernel without the outer fragility
     # cut found them
     res = solve_p1(DesignConstraints(max_aperture=28))
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (12, 4, 286_986,
-                                                                              16_341_823)
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (12, 4, 269_505,
+                                                                              16_359_304)
+    assert _complete(res) == [0] * 9 + [8, 4_540, 79_554]
     assert res.optimum[0].elements == (0, 1, 2, 3, 7, 9, 13, 19, 23, 24, 27, 28)
     assert res.optimum[-1].elements == (0, 1, 4, 5, 9, 15, 19, 21, 25, 26, 27, 28)
     assert _digest(res) == "33eb794d7c3c0c475b90b87d0e84bd41e5eacced6cd6ec55b4c06ba3e7c1481e"
@@ -235,11 +242,20 @@ def test_pinned_aperture_28():
 
 def test_pinned_forced_aperture_29():
     res = solve_p1(DesignConstraints(max_aperture=29), force=True)
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (13, 4_280, 1_215_007,
-                                                                              45_080_506)
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (13, 4_280, 1_164_161,
+                                                                              45_131_352)
+    assert _complete(res) == [0] * 9 + [4, 3_296, 77_558, 506_658]
     assert res.optimum[0].elements == (0, 1, 2, 3, 4, 5, 6, 13, 15, 20, 23, 27, 29)
     assert res.optimum[-1].elements == (0, 2, 6, 9, 14, 16, 23, 24, 25, 26, 27, 28, 29)
     assert _digest(res) == "071b4a77cbc5c4de346a216a48491582be1f4d3ae7b87339dc98a4cc7ff4026a"
+
+
+def test_pinned_infeasible_aperture_28_under_a_tight_leakage_cap():
+    # no outer pattern of any size keeps its own leakage within 0.01, so
+    # nothing is built; without the leakage cut this query built 69.4M masks
+    res = solve_p1(DesignConstraints(max_aperture=28, max_fragility=1, max_leakage=0.01))
+    assert _outcome(res) == (0, (), 0, 2 ** 27)
+    assert [row[0] for row in res.by_size] == list(range(1, 30))
 
 
 def _random_mix(rng):
@@ -270,6 +286,28 @@ def test_kernel_equals_naive_route_on_random_mixes(seed):
     assert (fast.optimum_size, tuple(a.elements for a in fast.optimum)) == oracle
 
 
+def _random_leakage_mix(rng):
+    # wide enough for inner bits, with a leakage cap that binds
+    return DesignConstraints(
+        max_aperture=int(rng.integers(12, 17)),
+        require_symmetric=bool(rng.integers(2)),
+        require_hole_free=bool(rng.integers(4)),
+        exact_aperture=bool(rng.integers(2)),
+        max_fragility=[Fraction(1), Fraction(2, 7), Fraction(3, 10), Fraction(1, 2),
+                       Fraction(2, 3), Fraction(5, 9)][int(rng.integers(6))],
+        max_leakage=float(rng.uniform(0.15, 0.4)),
+        coupling=CouplingModel(q=int(rng.integers(0, 16)),
+                               c1_magnitude=float(rng.uniform(0.0, 0.6))),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_leakage_cut_keeps_the_optima_of_wide_random_mixes(seed):
+    cons = _random_leakage_mix(np.random.default_rng(1000 + seed))
+    fast = solve_p1(cons)
+    assert (fast.optimum_size, tuple(a.elements for a in fast.optimum)) == oracle_solve_p1(cons)
+
+
 def test_pools_split_inside_a_size_keep_the_random_mix_optima(monkeypatch):
     # tiny blocks make the leakage and fragility pass run on many pools per
     # (span, k); a pool never outgrows one block, which bounds its temporaries
@@ -289,17 +327,34 @@ def test_pools_split_inside_a_size_keep_the_random_mix_optima(monkeypatch):
     assert max(collections.Counter(key for key, _ in pools).values()) > 1
 
 
-def _built(c, t, bound):
-    """Whether the kernel builds candidate c: every lag span - t .. span - 1
-    has a pair, and at most bound sensors are essential to one of lags
-    span - t .. span by the removal definition. t = 0 builds everything."""
+def _outer_essential(c, t):
+    """The sensors of candidate c essential to one of lags span - t .. span
+    by the removal definition; none when t = 0."""
     span = c[-1]
-    outer = range(max(1, span - t), span + 1) if t else range(0)
-    if not set(outer[:-1]) <= oracle_differences(c):
+    outer = set(range(max(1, span - t), span + 1)) if t else set()
+    return [g for g in c if not outer <= oracle_differences([e for e in c if e != g])]
+
+
+def _built(c, t, bound, cons):
+    """Whether the kernel builds candidate c: every lag span - t .. span - 1
+    has a pair, at most bound sensors are essential to one of lags
+    span - t .. span, and, under a leakage rule, the sensors at most t from
+    an end (with a symmetric family's centre) hold pairs whose leakage at
+    size len(c) stays within the cap and its margin. t = 0 builds every
+    candidate whose ends and centre pass the leakage rule."""
+    span = c[-1]
+    if not set(range(max(1, span - t), span)) <= oracle_differences(c):
         return False
-    essential = [g for g in c
-                 if not set(outer) <= oracle_differences([e for e in c if e != g])]
-    return len(essential) <= bound
+    if len(_outer_essential(c, t)) > bound:
+        return False
+    if cons.max_leakage == 1:
+        return True
+    outer = [e for e in c
+             if min(e, span - e) <= t or (cons.require_symmetric and 2 * e == span)]
+    lags = collections.Counter(b - a for a, b in itertools.combinations(outer, 2))
+    counts = np.array([lags[d] for d in range(1, min(cons.coupling.q, span) + 1)])
+    leak = coupling.leakage_from_counts(counts, len(c), cons.coupling.c1_magnitude)
+    return leak <= cons.max_leakage * (1 + search.LEAKAGE_MARGIN)
 
 
 @pytest.mark.parametrize("kw", [
@@ -328,7 +383,7 @@ def test_by_size_counts_every_size_tried(kw):
                  and (not cons.require_symmetric or is_symmetric(SensorArray((0,) + rest)))]
         assert explored + pruned == len(cands)
         bound = cons.max_fragility.numerator * k // cons.max_fragility.denominator
-        built = [c for c in cands if _built(c, t, bound)
+        built = [c for c in cands if _built(c, t, bound, cons)
                  and (not cons.require_hole_free or k * (k - 1) >= 2 * c[-1])]
         assert explored == len(built)
         passing = [c for c in built if difference_coarray(SensorArray(c)).hole_free
@@ -344,7 +399,7 @@ def test_essential_counts_equal_economy_at_span_12():
         for masks in search._candidate_blocks(span, k, False, 0):
             counts = {}
             for mask in masks.tolist():
-                elems = search._elements(mask, span)
+                elems = oracle_elements(mask, span)
                 counts[mask] = sum(oracle_essential(elems))
                 checked += 1
                 hole_free += difference_coarray(SensorArray(elems)).hole_free
@@ -388,6 +443,14 @@ def test_candidate_blocks_are_bounded_and_complete(monkeypatch):
             assert ((masks & 1) == 1).all() and ((masks >> span) == 1).all()
 
 
+@functools.cache
+def _spanning(span, k, symmetric):
+    """The size-k candidates spanning exactly span >= 1, by itertools."""
+    rests = itertools.combinations(range(1, span), k - 2) if k > 1 else ()
+    return [c for c in ((0, *rest, span) for rest in rests)
+            if not symmetric or is_symmetric(SensorArray(c))]
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_outer_prune_drops_exactly_the_candidates_missing_a_long_lag(symmetric):
     # against itertools: the kernel builds exactly the candidates with a pair
@@ -396,12 +459,9 @@ def test_outer_prune_drops_exactly_the_candidates_missing_a_long_lag(symmetric):
     for span in range(2, 17):
         longest = set(range(max(1, span - t), span))
         for k in range(1, span + 2):
-            rests = itertools.combinations(range(1, span), k - 2) if k > 1 else ()
-            cands = [(0, *rest, span) for rest in rests]
-            if symmetric:
-                cands = [c for c in cands if is_symmetric(SensorArray(c))]
+            cands = _spanning(span, k, symmetric)
             blocks = list(search._candidate_blocks(span, k, symmetric, t))
-            built = [search._elements(m, span) for b in blocks for m in b.tolist()]
+            built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
             covered = [c for c in cands if longest <= oracle_differences(c)]
             assert sorted(built) == covered, (span, k)
             for c in set(cands) - set(covered):
@@ -417,14 +477,12 @@ def test_outer_fragility_cut_skips_only_infeasible_candidates(symmetric):
     for span in range(2, 17):
         longest = set(range(max(1, span - t), span))
         for k in range(2, span + 2):
-            cands = [(0, *rest, span) for rest in itertools.combinations(range(1, span), k - 2)]
-            if symmetric:
-                cands = [c for c in cands if is_symmetric(SensorArray(c))]
+            cands = _spanning(span, k, symmetric)
             covered = {c for c in cands if longest <= oracle_differences(c)}
             essential = {}
             for bound in range(k + 1):
                 blocks = search._candidate_blocks(span, k, symmetric, t, bound)
-                built = [search._elements(m, span) for b in blocks for m in b.tolist()]
+                built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
                 assert len(built) == len(set(built)) and set(built) <= covered, (span, k, bound)
                 for c in covered - set(built):
                     if c not in essential:
@@ -432,6 +490,93 @@ def test_outer_fragility_cut_skips_only_infeasible_candidates(symmetric):
                     assert essential[c] > bound, (c, bound)
                 cut += len(covered) - len(built)
     assert cut > 0
+
+
+# the outer-cut oracle meets each small candidate under every rule set
+_differences = functools.cache(oracle_differences)
+
+
+@functools.cache
+def _coarray(c):
+    return difference_coarray(SensorArray(c))
+
+
+# (q, c1, max_leakage, max_fragility) of the outer-cut oracle
+CUT_RULES = [
+    (15, 0.3, 0.25, Fraction(3, 10)),
+    (4, 0.5, 0.3, Fraction(1)),
+    (40, 0.2, 0.12, Fraction(1, 2)),
+    (2, 0.6, 0.4, Fraction(2, 7)),
+]
+
+
+@pytest.mark.parametrize("q,c1,max_leakage,max_fragility", CUT_RULES)
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_outer_cut_skips_only_infeasible_candidates(symmetric, q, c1, max_leakage,
+                                                    max_fragility):
+    # against itertools: each candidate the kernel skips under the rules'
+    # table leaves one of lags span - t .. span - 1 without a pair, has more
+    # sensors essential to lags span - t .. span than the fragility rule
+    # allows, or fails check_constraints' leakage rule; each one built is
+    # built once
+    t, by_leakage = search._LOW_BITS // 2, 0
+    for span in range(2, 17):
+        cons = DesignConstraints(max_aperture=span, require_symmetric=symmetric,
+                                 max_fragility=max_fragility, max_leakage=max_leakage,
+                                 coupling=CouplingModel(q=q, c1_magnitude=c1))
+        table = functools.partial(search._outer_table, cons=cons)
+        longest = set(range(max(1, span - t), span))
+        for k in range(2, span + 2):
+            cands = _spanning(span, k, symmetric)
+            blocks = search._candidate_blocks(span, k, symmetric, t, outer_table=table)
+            built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
+            assert len(built) == len(set(built)) and set(built) <= set(cands), (span, k)
+            bound = max_fragility.numerator * k // max_fragility.denominator
+            for c in set(cands) - set(built):
+                if not longest <= _differences(c):
+                    continue
+                # check_constraints' leakage rule, without its other metrics
+                if leakage_from_profile(_coarray(c), cons.coupling) > max_leakage:
+                    by_leakage += 1
+                else:
+                    assert len(_outer_essential(c, t)) > bound, c
+    assert by_leakage > 0
+
+
+def test_leakage_margin_keeps_an_array_at_its_own_leakage():
+    # at span <= 13 every free bit is outer, so an outer pattern's leakage
+    # is its array's own: a cap equal to it keeps the array, one ulp lower
+    # the margin still builds it and the leaf drops it, and a cap lower by
+    # more than the margin cuts it before it is built
+    model = DesignConstraints(max_aperture=13).coupling
+    t = search._LOW_BITS // 2
+    for span, symmetric in ((13, False), (12, False), (12, True)):
+        rulers = solve_p1(DesignConstraints(max_aperture=span, require_symmetric=symmetric,
+                                            max_fragility=1, max_leakage=1)).optimum
+        best = min(rulers, key=lambda a: leakage_from_profile(difference_coarray(a), model))
+        lib = leakage_from_profile(difference_coarray(best), model)
+        for cap, kept, built in ((lib, True, True), (np.nextafter(lib, 0), False, True),
+                                 (lib * (1 - 1e-6), False, False)):
+            cons = DesignConstraints(max_aperture=span, require_symmetric=symmetric,
+                                     max_fragility=1, max_leakage=float(cap))
+            assert check_constraints(best, cons).feasible is kept
+            assert (best in solve_p1(cons).optimum) is kept, (span, cap)
+            table = functools.partial(search._outer_table, cons=cons)
+            blocks = search._candidate_blocks(span, len(best.elements), symmetric, t,
+                                              outer_table=table)
+            masks = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
+            assert (best.elements in masks) is built, (span, cap)
+
+
+def test_optima_decode_equals_the_bit_walk():
+    rng = np.random.default_rng(23)
+    for span, k in ((0, 1), (5, 3), (22, 11), (63, 2), (63, 40)):
+        inner = [rng.choice(np.arange(1, span), size=k - 2, replace=False) if k > 2 else ()
+                 for _ in range(300)]
+        masks = list({sum(1 << int(e) for e in {0, span, *row}) for row in inner})
+        decoded = search._optima(masks, k)
+        assert decoded == [list(e) for e in sorted(oracle_elements(m, span) for m in masks)]
+    assert search._optima([], 4) == []
 
 
 def test_apertures_beyond_a_mask_are_rejected_even_with_force():
@@ -462,7 +607,7 @@ def test_kernel_leakage_decisions_match_check_constraints_at_the_cap():
     masks = np.concatenate([first, next(search._candidate_blocks(20, 10, False, 0))[:200]])
     for mask in masks:
         mask = mask.reshape(1)
-        arr = SensorArray(search._elements(int(mask[0]), 20))
+        arr = SensorArray(oracle_elements(int(mask[0]), 20))
         lib = leakage_from_profile(difference_coarray(arr), model)
         for cap, accept in ((lib, True), (np.nextafter(lib, 0), False)):
             cons = DesignConstraints(max_aperture=20, require_hole_free=False,
@@ -485,6 +630,6 @@ def test_kernel_leakage_equals_leakage_from_profile_bit_for_bit(span, k, q, c1):
     masks = np.array([sum(1 << int(e) for e in (0, span, *row)) for row in inner]
                      + [sum(1 << e for e in (*range(k - 1), span))], dtype=np.uint64)
     kernel = coupling.leakage_from_counts(search._lag_pairs(masks, min(q, span)), k, c1)
-    lib = [leakage_from_profile(difference_coarray(SensorArray(search._elements(m, span))), model)
+    lib = [leakage_from_profile(difference_coarray(SensorArray(oracle_elements(m, span))), model)
            for m in masks.tolist()]
     assert kernel.tolist() == lib
