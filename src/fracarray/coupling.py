@@ -58,13 +58,41 @@ def coupling_matrix(array, model, rng=None):
     return table[np.minimum(sep, model.q + 1)]
 
 
+def _off_diagonal(pair_counts, c1_magnitude):
+    # off-diagonal Frobenius energy: each pair at lag d holds (c1 / d)^2 twice
+    d = np.arange(1, pair_counts.shape[-1] + 1)
+    return 2.0 * (pair_counts * (c1_magnitude / d) ** 2).sum(axis=-1)
+
+
+def _leakage(off, n):
+    return np.sqrt(off / (n + off))
+
+
 def leakage_from_counts(pair_counts, n, c1_magnitude):
     """Coupling leakage of n sensors from their pair counts at lags 1..L,
     L = min(q, aperture), along the last axis: a (rows x lags) matrix gives
     each row, bit for bit, the value of that row alone."""
-    d = np.arange(1, pair_counts.shape[-1] + 1)
-    off = 2.0 * (pair_counts * (c1_magnitude / d) ** 2).sum(axis=-1)
-    return np.sqrt(off / (n + off))
+    return _leakage(_off_diagonal(pair_counts, c1_magnitude), n)
+
+
+def smallest_size_within(pair_counts, cap, c1_magnitude, most):
+    """For each row of pair counts, the smallest n in 1..most at which
+    leakage_from_counts is at most cap, or most + 1 where none is.
+
+    The leakage falls as n grows, and sqrt(off / (n + off)) <= cap solves to
+    n >= off (1 - cap^2) / cap^2. Rounding may carry that bound across an
+    integer, so the formula itself decides the sizes on either side."""
+    off = _off_diagonal(pair_counts, c1_magnitude)
+    c2 = cap * cap
+    if c2 == 0:
+        # cap^2 underflows: only an array without coupling fits
+        return np.where(off > 0, most + 1, 1)
+    # clip past most + 1 before dividing, so a subnormal c2 stays finite
+    n = np.ceil(np.minimum(off * (1 - c2), (most + 1) * c2) / c2)
+    n = np.clip(n, 1, most + 1).astype(np.int64)
+    n -= (n > 1) & (_leakage(off, np.maximum(n - 1, 1)) <= cap)
+    n += (n <= most) & (_leakage(off, n) > cap)
+    return n
 
 
 def _near_lag_counts(pos, q):

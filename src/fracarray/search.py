@@ -6,19 +6,18 @@ the first feasible cardinality is the optimum. Candidates are uint64
 bitmasks over {0..max_aperture}, so apertures stop at MAX_SPAN = 63. One
 numpy kernel builds them outside-in, block by block (at most BLOCK masks
 each): a pair at one of the t longest lags joins sensors at most t from
-either end, so the patterns of those outer positions are enumerated first,
-once per search for each family shape, from a table of low-bit masks
-grouped by popcount. Each pattern carries the smallest size it may join,
-from the sensors it makes essential at lags span - t .. span and from the
-leakage of its own pairs, which every candidate holding it contains. A
-pattern is joined to the inner positions only if it covers the t longest
-lags and that smallest size is at most the size at hand. Each block then
-keeps its hole-free masks, the complete rulers, with one AND-shift per
-shorter lag. The complete rulers of consecutive blocks of one (span, k) are
-pooled, up to BLOCK masks, and each pool goes through leakage and then
-fragility, all exact. Fragility is a running cut: lags from the longest add
-their essential sensors, and a mask leaves as soon as it holds too many.
-The optima are decoded from their masks in numpy.
+either end, so the patterns of those outer positions are tabulated first,
+once per search for each family shape. Each pattern carries kmin, the
+smallest size it may join: the first size whose fragility bound admits the
+sensors it makes essential at lags span - t .. span, and the first at which
+its own pairs fit the leakage cap, by the leakage formula solved for n. A
+pattern covering the t longest lags joins the inner positions at each size
+from kmin on. Each block keeps its hole-free masks, the complete rulers,
+with one AND-shift per shorter lag. The complete rulers of consecutive
+blocks of one (span, k) are pooled, up to BLOCK masks, and each pool goes
+through leakage and then fragility, all exact. Fragility is a running cut:
+lags from the longest add their essential sensors, and a mask leaves as
+soon as it holds too many. The optima are decoded from their masks.
 """
 
 import functools
@@ -31,7 +30,8 @@ import numpy as np
 
 from .analysis import economy
 from .core import SensorArray, difference_coarray, is_symmetric
-from .coupling import CouplingModel, leakage_from_counts, leakage_from_profile
+from .coupling import (CouplingModel, leakage_from_counts, leakage_from_profile,
+                       smallest_size_within)
 
 # with the default rules A=28 takes about 0.05 s on a 2-core VM and A=29
 # about 0.27 s. The outer cuts depend on the rules: at A=28 an infeasible
@@ -214,21 +214,29 @@ def _place(free, first, span, symmetric):
     return masks
 
 
-def _outer_table(span, fixed, bits, symmetric, t, cons=None):
+# relative margin on the leakage cap of the outer cut: far above the
+# rounding of the leakage formula (about 1e-16), and it lets through only
+# patterns within a billionth of the cap, which the leaf then decides
+LEAKAGE_MARGIN = 1e-9
+
+
+def _outer_table(span, fixed, bits, symmetric, t, cons):
     """(left, n_out, by_popcount) for one (span, fixed, bits) family shape:
-    by_popcount[h] holds (masks, ess, kmin) for the n_out-bit outer patterns
-    of popcount h that cover lags span - t .. span - 1: their masks, the
-    count of sensors each makes essential at lags span - t .. span, and the
-    smallest size at which each may pass the rules of cons (0 if cons is
-    None).
+    by_popcount[h] holds (masks, kmin) for the n_out-bit outer patterns of
+    popcount h that cover lags span - t .. span - 1, kmin being the smallest
+    size at which a candidate holding the pattern may pass the rules of cons.
 
     A pattern's low left bits are the sensors from 1 (and their mirrors), its
     other bits those ending at span - 1. A pair at lag d >= span - t joins
     sensors at most t from either end, so the outer positions alone decide
     those lags' pairs, and with them their essential sensors: a middle g of
     g - d, g, g + d lies at most t from both ends, so none exists unless
-    span <= 2t, where every free bit is outer. t = 0 fixes no outer position
-    and counts nothing."""
+    span <= 2t, where every free bit is outer. Every candidate holding the
+    pattern keeps those sensors essential and holds its pairs, whose leakage
+    at a fixed size only grows with more pairs, so kmin is the first size
+    whose _essential_bound admits them and at which, under a leakage rule,
+    the pairs leak at most max_leakage * (1 + LEAKAGE_MARGIN). t = 0 fixes
+    no outer position and counts nothing essential."""
     left = min(t, bits)
     n_out = left if symmetric else min(2 * t, bits)
     outer = np.concatenate(_popcount_groups()[:n_out + 1])
@@ -242,68 +250,33 @@ def _outer_table(span, fixed, bits, symmetric, t, cons=None):
     ess = np.zeros_like(masks)
     for d in range(max(1, span - t), span + 1) if t else ():
         _mark_essential(ess, masks, d)
-    ess = np.bitwise_count(ess)
-    if cons is None:
-        kmin = np.zeros(masks.size, dtype=np.int64)
-    else:
-        kmin = _smallest_sizes(masks, ess, span, cons)
+    # no candidate holds more than span + 1 sensors, so larger sizes clip
+    bounds = [_essential_bound(cons, n) for n in range(span + 2)]
+    kmin = np.searchsorted(bounds, np.bitwise_count(ess))
+    if cons.max_leakage < 1:
+        pairs = _lag_pairs(masks, min(cons.coupling.q, span))
+        kmin = np.maximum(kmin, smallest_size_within(
+            pairs, cons.max_leakage * (1 + LEAKAGE_MARGIN), cons.coupling.c1_magnitude, span + 1))
     # the table runs in popcount order, so each popcount is one slice
     edges = np.searchsorted(np.bitwise_count(outer), np.arange(n_out + 2)).tolist()
-    return left, n_out, [(masks[a:b], ess[a:b], kmin[a:b]) for a, b in zip(edges, edges[1:])]
+    return left, n_out, [(masks[a:b], kmin[a:b]) for a, b in zip(edges, edges[1:])]
 
 
-# relative margin on the leakage cap of the outer cut: far above the
-# rounding of the leakage formula (about 1e-16), and it lets through only
-# patterns within a billionth of the cap, which the leaf then decides
-LEAKAGE_MARGIN = 1e-9
-
-
-def _smallest_sizes(masks, ess, span, cons):
-    """For each outer pattern, the smallest size n at which a candidate
-    holding it may pass both rules of cons.
-
-    Fragility: ess sensors are already essential and the set only grows, so
-    ess * den <= num * n, exact in integers. Leakage: a candidate holds the
-    pattern's pairs at every coupled lag, and at a fixed n the leakage grows
-    with the pair counts, so the pattern's own leakage at n, by
-    leakage_from_counts, must stay within max_leakage * (1 + LEAKAGE_MARGIN);
-    the margin absorbs the rounding. The leakage falls as n grows, so the
-    sizes that fail it are 1 .. kmin - 1. It is checked only when
-    max_leakage < 1."""
-    # no candidate holds more than span + 1 sensors, so larger sizes clip
-    f, top = cons.max_fragility, span + 1
-    sizes = [min(-(-e * f.denominator // f.numerator), top + 1) for e in range(top + 1)]
-    kmin = np.array(sizes, dtype=np.int64)[ess]
-    if cons.max_leakage < 1 and masks.size:
-        cap, n = cons.max_leakage * (1 + LEAKAGE_MARGIN), np.arange(1, top + 1)
-        # (patterns x 1 x lags) pair counts against sizes 1 .. top give one
-        # leakage per (pattern, size); 256 patterns at a time keep those
-        # matrices small (a whole A = 22 table at once, 2,118 x 23, raised
-        # the benchmark's peak RSS by 0.2 MB)
-        pairs = _lag_pairs(masks, min(cons.coupling.q, span))[:, None, :]
-        fails = [(leakage_from_counts(pairs[s:s + 256], n, cons.coupling.c1_magnitude) > cap)
-                 .sum(axis=1) for s in range(0, masks.size, 256)]
-        kmin = np.maximum(kmin, 1 + np.concatenate(fails))
-    return kmin
-
-
-def _candidate_blocks(span, k, symmetric, t, bound=None, outer_table=_outer_table):
+def _candidate_blocks(span, k, symmetric, t, outer_table):
     """Yield the masks of the size-k candidates spanning exactly span whose
-    lags span - t .. span - 1 all have a pair and whose outer patterns may
-    join size k, in blocks, family by family. A pattern may join when its
-    kmin from outer_table is at most k or, given a bound, when it makes at
-    most bound sensors essential.
+    lags span - t .. span - 1 all have a pair and whose outer patterns have
+    kmin at most k, in blocks, family by family.
 
-    Each family's outer patterns come from outer_table, and each one kept is
-    joined to every inner mask, the n_in bits from 1 + left, of the
-    remaining popcount. t = 0 yields every candidate of a table without
-    rules."""
+    Each family's outer patterns come from outer_table, an _outer_table
+    with its rules bound, and each one kept is joined to every inner mask,
+    the n_in bits from 1 + left, of the remaining popcount. t = 0 under
+    rules that are all off yields every candidate."""
     for fixed, bits, count in _families(span, k, symmetric):
         left, n_out, by_popcount = outer_table(span, fixed, bits, symmetric, t)
         n_in = bits - n_out
         for h in range(max(0, count - n_in), min(n_out, count) + 1):
-            masks, ess, kmin = by_popcount[h]
-            masks = masks[kmin <= k if bound is None else ess <= bound]
+            masks, kmin = by_popcount[h]
+            masks = masks[kmin <= k]
             if not masks.size:
                 continue
             for free in _combinations(n_in, count - h, max(1, BLOCK // masks.size)):
@@ -412,8 +385,7 @@ def _solve_pruned(cons):
             # pool; a pool holds at most BLOCK masks, which bounds the
             # (masks x lags) float temporaries of leakage
             pool, held = [], 0
-            for masks in _candidate_blocks(span, k, cons.require_symmetric, t,
-                                           outer_table=outer_table):
+            for masks in _candidate_blocks(span, k, cons.require_symmetric, t, outer_table):
                 explored += masks.size
                 if cons.require_hole_free:
                     masks = _hole_free(masks, span - t - 1)

@@ -13,6 +13,7 @@ import pytest
 
 from fracarray import (ArrayFormatError, EconomyReport, EstimationFailure, IdentifiabilityError,
                        SensorArray, check_constraints, coupling_matrix, difference_coarray)
+from fracarray.coupling import leakage_from_counts
 
 # reference designs used across the suite
 S_ELEMS = (0, 1, 2, 4, 7, 10, 13, 16, 18, 19, 20)
@@ -168,16 +169,46 @@ def matrix_leakage(C):
 
 
 def oracle_solve_p1(cons):
-    """solve_p1 by brute force: every subset containing 0, in ascending
-    cardinality and lexicographic order, through check_constraints. Returns
-    (size, optima as element tuples); (0, ()) when nothing is feasible."""
+    """solve_p1 by brute force: every subset containing 0 (and, under
+    exact_aperture, max_aperture, as no other subset passes the aperture
+    rule), in ascending cardinality and lexicographic order, through
+    check_constraints. Returns (size, optima as element tuples); (0, ())
+    when nothing is feasible."""
     A = cons.max_aperture
-    for k in range(1, A + 2):
-        found = tuple((0,) + rest for rest in itertools.combinations(range(1, A + 1), k - 1)
-                      if check_constraints(SensorArray((0,) + rest), cons).feasible)
+    # a subset holding both 0 and max_aperture >= 1 has at least 2 sensors
+    for k in range(1 + cons.exact_aperture, A + 2):
+        if cons.exact_aperture:
+            subsets = [(0, *rest, A) for rest in itertools.combinations(range(1, A), k - 2)]
+        else:
+            subsets = [(0, *rest) for rest in itertools.combinations(range(1, A + 1), k - 1)]
+        found = tuple(c for c in subsets if check_constraints(SensorArray(c), cons).feasible)
         if found:
             return k, found
     return 0, ()
+
+
+def oracle_leakage_size(pair_counts, cap, c1_magnitude, most):
+    """The smallest n in 1..most at which each row's leakage is at most
+    cap, or most + 1, by a scan: 1 + the number of sizes 1..most at which
+    leakage_from_counts exceeds cap, as the leakage falls with n."""
+    n = np.arange(1, most + 1)
+    pairs = np.asarray(pair_counts)[:, None, :]
+    return 1 + (leakage_from_counts(pairs, n, c1_magnitude) > cap).sum(axis=1)
+
+
+def oracle_smallest_sizes(pair_counts, ess, span, cons, margin):
+    """The smallest size each search outer pattern may join, from its pair
+    counts and essential count: ess * den <= num * n for fragility, exact
+    in integers, then the leakage scan under a cap widened by margin when
+    max_leakage < 1. Sizes clip at span + 2."""
+    f, top = cons.max_fragility, span + 1
+    kmin = np.array([min(-(-e * f.denominator // f.numerator), top + 1) for e in ess],
+                    dtype=np.int64)
+    if cons.max_leakage < 1:
+        cap = cons.max_leakage * (1 + margin)
+        kmin = np.maximum(kmin, oracle_leakage_size(pair_counts, cap,
+                                                    cons.coupling.c1_magnitude, top))
+    return kmin
 
 
 def oracle_noise_subspace(virtual, num_sources):

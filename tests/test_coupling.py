@@ -10,13 +10,14 @@ from fracarray import (
     leakage_from_profile,
     verify_leakage_preservation,
 )
-from fracarray.coupling import _near_lag_counts
+from fracarray.coupling import _near_lag_counts, leakage_from_counts, smallest_size_within
 from conftest import (
     S_ELEMS,
     G_ELEMS,
     matrix_leakage,
     oracle_hole_free,
     oracle_leakage,
+    oracle_leakage_size,
     random_elements,
 )
 
@@ -237,3 +238,25 @@ def test_preservation_report_equals_the_full_coarray_route():
         rep = verify_leakage_preservation(SensorArray(elems), model, r)
         want = leakage_from_profile(difference_coarray(expand(SensorArray(elems), r)), model)
         assert rep.expanded_leakage == want
+
+
+@pytest.mark.parametrize("lags,c1", [(15, 0.3), (40, 0.9), (4, 0.05), (0, 0.3), (15, 0.0)])
+def test_smallest_size_within_equals_the_size_scan(lags, c1):
+    # at a cap equal to one row's exact leakage at some size, one ulp on
+    # either side of it, caps near 1 and caps whose square underflows or is
+    # subnormal, the closed form gives each row the size the scan of
+    # leakage_from_counts does, with no numpy warning (any fails the suite)
+    rng = np.random.default_rng(lags * 100 + int(c1 * 10))
+    pairs = rng.integers(0, 30, size=(300, lags)).astype(np.uint8)
+    pairs[:3] = 0
+    most = 40
+    caps = [1 - 1e-10, float(np.nextafter(1, 0)), 1 + 1e-9, 1e-300, 1e-160, 1e-4, 0.01]
+    for row in pairs[::37]:
+        for n in (1, 2, 7, most - 1, most):
+            leak = float(leakage_from_counts(row, n, c1))
+            caps += [leak, float(np.nextafter(leak, 0)), float(np.nextafter(leak, 1))]
+    for cap in caps:
+        if cap <= 0:
+            continue
+        sizes = smallest_size_within(pairs, cap, c1, most)
+        assert sizes.tolist() == oracle_leakage_size(pairs, cap, c1, most).tolist(), cap

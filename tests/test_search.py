@@ -28,6 +28,7 @@ from conftest import (
     oracle_differences,
     oracle_elements,
     oracle_essential,
+    oracle_smallest_sizes,
     oracle_solve_p1,
 )
 
@@ -183,6 +184,12 @@ def _digest(res):
 # builds every candidate covering the outer lags
 G2 = (0, 1, 2, 3, 7, 9, 15, 17, 19, 20)
 
+# the outer tables with every rule off: a pattern covering the longest lags
+# makes no more sensors essential than it holds, so it joins every size it
+# fits, and at t = 0 every candidate is built
+_NO_RULES = functools.cache(functools.partial(
+    search._outer_table, cons=DesignConstraints(max_aperture=1, max_fragility=1, max_leakage=1)))
+
 
 def _complete(res):
     return [row[3] for row in res.by_size]
@@ -191,7 +198,7 @@ def _complete(res):
 def _hole_free_counts(A, res, symmetric=False):
     t = search._LOW_BITS // 2
     return [sum(search._hole_free(masks, A - t - 1).size
-                for masks in search._candidate_blocks(A, k, symmetric, t))
+                for masks in search._candidate_blocks(A, k, symmetric, t, _NO_RULES))
             for k, *_ in res.by_size]
 
 
@@ -301,7 +308,7 @@ def _random_leakage_mix(rng):
     )
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(10))
 def test_leakage_cut_keeps_the_optima_of_wide_random_mixes(seed):
     cons = _random_leakage_mix(np.random.default_rng(1000 + seed))
     fast = solve_p1(cons)
@@ -396,7 +403,7 @@ def test_essential_counts_equal_economy_at_span_12():
     # the removal definition, is at most the bound, for every bound 0..k
     span, checked, hole_free = 12, 0, 0
     for k in range(2, span + 2):
-        for masks in search._candidate_blocks(span, k, False, 0):
+        for masks in search._candidate_blocks(span, k, False, 0, _NO_RULES):
             counts = {}
             for mask in masks.tolist():
                 elems = oracle_elements(mask, span)
@@ -434,7 +441,7 @@ def test_candidate_blocks_are_bounded_and_complete(monkeypatch):
     for span, k, sym in [(16, 5, False), (27, 3, False), (63, 4, False), (20, 7, True),
                          (19, 4, True), (18, 8, False), (26, 12, True)]:
         for t in (0, search._LOW_BITS // 2):
-            blocks = list(search._candidate_blocks(span, k, sym, t))
+            blocks = list(search._candidate_blocks(span, k, sym, t, _NO_RULES))
             masks = np.concatenate(blocks or [np.zeros(0, dtype=np.uint64)])
             assert max((b.size for b in blocks), default=0) <= 7
             assert masks.size == np.unique(masks).size
@@ -460,7 +467,7 @@ def test_outer_prune_drops_exactly_the_candidates_missing_a_long_lag(symmetric):
         longest = set(range(max(1, span - t), span))
         for k in range(1, span + 2):
             cands = _spanning(span, k, symmetric)
-            blocks = list(search._candidate_blocks(span, k, symmetric, t))
+            blocks = list(search._candidate_blocks(span, k, symmetric, t, _NO_RULES))
             built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
             covered = [c for c in cands if longest <= oracle_differences(c)]
             assert sorted(built) == covered, (span, k)
@@ -470,9 +477,11 @@ def test_outer_prune_drops_exactly_the_candidates_missing_a_long_lag(symmetric):
 
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_outer_fragility_cut_skips_only_infeasible_candidates(symmetric):
-    # for every bound: each candidate the kernel skips leaves one of lags
-    # span - t .. span - 1 without a pair, or has more than bound essential
-    # sensors by the removal definition; each one built is built once
+    # for every bound b = 0..k, under the fragility rule (2b + 1) / 2k (or
+    # 1 at b = k), whose floor(f k) is b: each candidate the kernel skips
+    # leaves one of lags span - t .. span - 1 without a pair, or has more
+    # than b essential sensors by the removal definition; each one built is
+    # built once
     t, cut = search._LOW_BITS // 2, 0
     for span in range(2, 17):
         longest = set(range(max(1, span - t), span))
@@ -481,7 +490,11 @@ def test_outer_fragility_cut_skips_only_infeasible_candidates(symmetric):
             covered = {c for c in cands if longest <= oracle_differences(c)}
             essential = {}
             for bound in range(k + 1):
-                blocks = search._candidate_blocks(span, k, symmetric, t, bound)
+                frag = Fraction(2 * bound + 1, 2 * k) if bound < k else Fraction(1)
+                cons = DesignConstraints(max_aperture=span, max_fragility=frag, max_leakage=1)
+                assert search._essential_bound(cons, k) == bound
+                table = functools.partial(search._outer_table, cons=cons)
+                blocks = search._candidate_blocks(span, k, symmetric, t, table)
                 built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
                 assert len(built) == len(set(built)) and set(built) <= covered, (span, k, bound)
                 for c in covered - set(built):
@@ -528,7 +541,7 @@ def test_outer_cut_skips_only_infeasible_candidates(symmetric, q, c1, max_leakag
         longest = set(range(max(1, span - t), span))
         for k in range(2, span + 2):
             cands = _spanning(span, k, symmetric)
-            blocks = search._candidate_blocks(span, k, symmetric, t, outer_table=table)
+            blocks = search._candidate_blocks(span, k, symmetric, t, table)
             built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
             assert len(built) == len(set(built)) and set(built) <= set(cands), (span, k)
             bound = max_fragility.numerator * k // max_fragility.denominator
@@ -562,10 +575,86 @@ def test_leakage_margin_keeps_an_array_at_its_own_leakage():
             assert check_constraints(best, cons).feasible is kept
             assert (best in solve_p1(cons).optimum) is kept, (span, cap)
             table = functools.partial(search._outer_table, cons=cons)
-            blocks = search._candidate_blocks(span, len(best.elements), symmetric, t,
-                                              outer_table=table)
+            blocks = search._candidate_blocks(span, len(best.elements), symmetric, t, table)
             masks = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
             assert (best.elements in masks) is built, (span, cap)
+
+
+PINNED_QUERIES = [
+    dict(max_aperture=20, require_symmetric=True),
+    dict(max_aperture=20),
+    dict(max_aperture=22),
+    dict(max_aperture=18, max_leakage=0.25),
+    dict(max_aperture=28),
+    dict(max_aperture=29),
+    dict(max_aperture=28, max_fragility=1, max_leakage=0.01),
+]
+
+# rule sets at the edges of the closed-form leakage size: nothing couples,
+# caps within 1e-9 of 1 (one above 1 once widened by the margin), and caps
+# whose square underflows, with and without coupling
+EDGE_QUERIES = [
+    dict(max_aperture=20, coupling=CouplingModel(c1_magnitude=0.0)),
+    dict(max_aperture=20, coupling=CouplingModel(q=0)),
+    dict(max_aperture=20, require_symmetric=True, coupling=CouplingModel(q=0, c1_magnitude=0.0)),
+    dict(max_aperture=20, max_leakage=1 - 1e-10),
+    dict(max_aperture=20, max_leakage=1 - 5e-10, require_symmetric=True),
+    dict(max_aperture=20, max_leakage=float(np.nextafter(1, 0))),
+    dict(max_aperture=16, max_leakage=1e-300),
+    dict(max_aperture=16, max_leakage=1e-300, coupling=CouplingModel(c1_magnitude=0.0)),
+    dict(max_aperture=20, max_leakage=1e-160, coupling=CouplingModel(c1_magnitude=1e-155)),
+]
+
+
+def _table_mix(rng):
+    return dict(
+        max_aperture=int(rng.integers(2, 30)),
+        require_symmetric=bool(rng.integers(2)),
+        require_hole_free=bool(rng.integers(4)),
+        exact_aperture=bool(rng.integers(3)),
+        max_fragility=Fraction(int(rng.integers(1, 11)), 10),
+        max_leakage=float(10 ** rng.uniform(-4, 0) if rng.integers(3) else rng.uniform(0.1, 1)),
+        coupling=CouplingModel(q=int(rng.integers(0, 40)),
+                               c1_magnitude=float(rng.uniform(0, 0.99))),
+    )
+
+
+@pytest.mark.parametrize("kw", PINNED_QUERIES + EDGE_QUERIES
+                         + [_table_mix(np.random.default_rng(2400 + i)) for i in range(60)])
+def test_outer_table_kmin_equals_the_size_scan(kw):
+    # on every table a search under the rules builds: each pattern's kmin,
+    # from the first size the fragility bound admits and the leakage formula
+    # solved for n, equals the ceiling of ess * den / num and the scan of
+    # the pattern's own leakage over sizes 1 .. span + 1
+    cons = DesignConstraints(**kw)
+    A, symmetric = cons.max_aperture, cons.require_symmetric
+    t = search._LOW_BITS // 2 if cons.require_hole_free else 0
+    shapes = {(span, fixed, bits) for span in ([A] if cons.exact_aperture else range(A + 1))
+              for k in range(1, span + 2) for fixed, bits, _ in search._families(span, k, symmetric)}
+    for span, fixed, bits in shapes:
+        _, _, by_popcount = search._outer_table(span, fixed, bits, symmetric, t, cons)
+        masks = np.concatenate([m for m, _ in by_popcount])
+        kmin = np.concatenate([k for _, k in by_popcount])
+        ess = np.zeros_like(masks)
+        for d in range(max(1, span - t), span + 1) if t else ():
+            search._mark_essential(ess, masks, d)
+        pairs = search._lag_pairs(masks, min(cons.coupling.q, span))
+        expected = oracle_smallest_sizes(pairs, np.bitwise_count(ess).tolist(), span, cons,
+                                         search.LEAKAGE_MARGIN)
+        assert kmin.tolist() == expected.tolist(), (span, fixed, bits)
+
+
+def test_a_cap_whose_square_underflows_is_decided_without_warnings():
+    # any warning fails the suite; with coupling no pattern fits a 1e-300
+    # cap and nothing is built, and without it every leakage is 0, so the
+    # cap binds nothing and the search equals the default-cap one
+    res = solve_p1(DesignConstraints(max_aperture=16, max_leakage=1e-300))
+    assert _outcome(res) == (0, (), 0, 2 ** 15)
+    free = CouplingModel(c1_magnitude=0.0)
+    res = solve_p1(DesignConstraints(max_aperture=16, max_leakage=1e-300, coupling=free))
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (10, 576, 1_376,
+                                                                              21_443)
+    assert _outcome(res) == _outcome(solve_p1(DesignConstraints(max_aperture=16, coupling=free)))
 
 
 def test_optima_decode_equals_the_bit_walk():
@@ -604,7 +693,8 @@ def test_kernel_leakage_decisions_match_check_constraints_at_the_cap():
     # equal to the library value both accept, one ulp below it both reject
     model = DesignConstraints(max_aperture=20).coupling
     first = np.array([sum(1 << e for e in (0, 1, 2, 3, 4, 5, 6, 7, 8, 20))], dtype=np.uint64)
-    masks = np.concatenate([first, next(search._candidate_blocks(20, 10, False, 0))[:200]])
+    blocks = search._candidate_blocks(20, 10, False, 0, _NO_RULES)
+    masks = np.concatenate([first, next(blocks)[:200]])
     for mask in masks:
         mask = mask.reshape(1)
         arr = SensorArray(oracle_elements(int(mask[0]), 20))
