@@ -358,9 +358,11 @@ def _cmd_compare(args, argv):
     if not arrays:
         raise ArrayFormatError("give --arrays and/or --baselines")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for m in metrics:
+    for i, m in enumerate(metrics):
         if m not in _COMPARE_METRICS:
             raise ArrayFormatError(f"unknown metric {m!r}; choose from {_COMPARE_METRICS}")
+        if m in metrics[:i]:
+            raise ArrayFormatError(f"metric {m!r} is named twice")
     model = _coupling_from_args(args)
     headers = ["array"] + metrics
     rows = []

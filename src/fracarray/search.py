@@ -5,19 +5,20 @@ The solver enumerates candidate element sets by ascending cardinality, so
 the first feasible cardinality is the optimum. Candidates are uint64
 bitmasks over {0..max_aperture}, so apertures stop at MAX_SPAN = 63. One
 numpy kernel builds them outside-in, block by block (at most BLOCK masks
-each): a pair at one of the t longest lags joins sensors at most t from
-either end, so the patterns of those outer positions are tabulated first,
-once per search for each family shape. Each pattern carries kmin, the
-smallest size it may join: the first size whose fragility bound admits the
-sensors it makes essential at lags span - t .. span, and the first at which
-its own pairs fit the leakage cap, by the leakage formula solved for n. A
-pattern covering the t longest lags joins the inner positions at each size
-from kmin on. Each block keeps its hole-free masks, the complete rulers,
-with one AND-shift per shorter lag. The complete rulers of consecutive
-blocks of one (span, k) are pooled, up to BLOCK masks, and each pool goes
-through leakage and then fragility, all exact. Fragility is a running cut:
-lags from the longest add their essential sensors, and a mask leaves as
-soon as it holds too many. The optima are decoded from their masks.
+each): a pair at one of the t = _OUTER = 6 longest lags joins sensors at
+most t from either end, so the patterns of those outer positions are
+tabulated first, once per search for each family shape. Each pattern
+carries kmin, the smallest size it may join: the first size whose fragility
+bound admits the sensors it makes essential at lags span - t .. span, and
+the first at which its own pairs fit the leakage cap, by the leakage
+formula solved for n. A pattern joins the inner positions at each size
+from kmin on. Under the hole-free rule only patterns covering lags
+span - t .. span - 1 join, and each block keeps its complete rulers, with
+one AND-shift per shorter lag. The kept masks of consecutive blocks of one
+(span, k) are pooled, up to BLOCK masks, and each pool goes through leakage
+and then fragility, all exact. Fragility is a running cut: lags from the
+longest add their essential sensors, and a mask leaves as soon as it holds
+too many. The optima are decoded from their masks.
 """
 
 import functools
@@ -34,10 +35,10 @@ from .coupling import (CouplingModel, leakage_from_counts, leakage_from_profile,
                        smallest_size_within)
 
 # with the default rules A=28 takes about 0.05 s on a 2-core VM and A=29
-# about 0.27 s. The outer cuts depend on the rules: at A=28 an infeasible
-# --no-hole-free query builds all 134M candidates in about 13 s, and
-# --max-leakage 0.25 builds 18.9M in about 2.8 s; the guard moves only when
-# a measurement justifies it
+# about 0.27 s. The outer cuts depend on the rules: at A=28 the infeasible
+# --max-leakage 0.25 query builds 18.9M candidates in about 3 s (and the
+# infeasible --no-hole-free --max-fragility 1/10 one 3.3M in about 0.35 s);
+# the guard moves only when a measurement justifies it
 APERTURE_GUARD = 28
 
 
@@ -124,12 +125,11 @@ class SearchResult:
 
     explored counts candidates built and tested by the block kernel;
     pruned counts candidates ruled out by sound bounds without being built:
-    too few sensors for a hole-free coarray; under the hole-free rule, outer
-    positions that leave one of the t longest lags without a pair or already
-    make more sensors essential than the fragility rule allows; or outer
-    positions (the ends and any fixed centre without the hole-free rule)
-    whose own pairs already hold more coupling leakage than the rule allows
-    for the size.
+    under the hole-free rule, too few sensors for a hole-free coarray or
+    outer positions that leave one of the _OUTER longest lags without a
+    pair; under every rule set, outer positions that already make more
+    sensors essential than the fragility rule allows, or whose own pairs
+    already hold more coupling leakage than the rule allows for the size.
     by_size holds (k, explored, pruned, complete) for each size tried;
     explored + pruned is the number of candidates of that size, and
     complete counts the explored ones that reach the leakage rule: the
@@ -148,10 +148,11 @@ class SearchResult:
 # A candidate is a uint64 bitmask: bit e marks a sensor at position e, so a
 # span of at most MAX_SPAN fits. The kernel evaluates candidates in blocks
 # of at most BLOCK masks; the popcount table covers the low _LOW_BITS bits,
-# which also hold the 2t outer bits of the hole-free search, t = _LOW_BITS // 2.
+# which also hold the 2 * _OUTER outer bits of a candidate.
 MAX_SPAN = 63
 BLOCK = 1 << 13
 _LOW_BITS = 13
+_OUTER = _LOW_BITS // 2
 
 
 @functools.cache
@@ -220,35 +221,34 @@ def _place(free, first, span, symmetric):
 LEAKAGE_MARGIN = 1e-9
 
 
-def _outer_table(span, fixed, bits, symmetric, t, cons):
+def _outer_table(span, fixed, bits, symmetric, cons):
     """(left, n_out, by_popcount) for one (span, fixed, bits) family shape:
     by_popcount[h] holds (masks, kmin) for the n_out-bit outer patterns of
-    popcount h that cover lags span - t .. span - 1, kmin being the smallest
-    size at which a candidate holding the pattern may pass the rules of cons.
+    popcount h (under the hole-free rule, those covering lags span - t ..
+    span - 1), kmin being the smallest size at which one may pass cons.
 
     A pattern's low left bits are the sensors from 1 (and their mirrors), its
-    other bits those ending at span - 1. A pair at lag d >= span - t joins
-    sensors at most t from either end, so the outer positions alone decide
-    those lags' pairs, and with them their essential sensors: a middle g of
-    g - d, g, g + d lies at most t from both ends, so none exists unless
-    span <= 2t, where every free bit is outer. Every candidate holding the
-    pattern keeps those sensors essential and holds its pairs, whose leakage
-    at a fixed size only grows with more pairs, so kmin is the first size
-    whose _essential_bound admits them and at which, under a leakage rule,
-    the pairs leak at most max_leakage * (1 + LEAKAGE_MARGIN). t = 0 fixes
-    no outer position and counts nothing essential."""
+    other bits those ending at span - 1. With t = _OUTER, a pair at lag
+    d >= span - t joins sensors at most t from either end, so the outer
+    positions alone decide those lags' pairs, and with them their essential
+    sensors: a middle g of g - d, g, g + d lies at most t from both ends, so
+    none exists unless span <= 2t, where every free bit is outer. Every
+    candidate holding the pattern keeps those sensors essential and holds its
+    pairs, whose leakage at a fixed size only grows with more pairs, so kmin
+    is the first size whose _essential_bound admits them and at which, under
+    a leakage rule, the pairs leak at most max_leakage * (1 + LEAKAGE_MARGIN)."""
+    t = _OUTER
     left = min(t, bits)
     n_out = left if symmetric else min(2 * t, bits)
     outer = np.concatenate(_popcount_groups()[:n_out + 1])
     outer = outer[outer < 1 << n_out]
     masks = (np.uint64(fixed) | _place(outer & ((1 << left) - 1), 1, span, symmetric)
              | (outer >> left) << (span - n_out + left))
-    covered = np.ones(masks.size, dtype=bool)
-    for d in range(max(1, span - t), span):
-        covered &= (masks & (masks >> d)) != 0
-    outer, masks = outer[covered], masks[covered]
+    for d in range(max(1, span - t), span) if cons.require_hole_free else ():
+        covered = (masks & (masks >> d)) != 0
+        outer, masks = outer[covered], masks[covered]
     ess = np.zeros_like(masks)
-    for d in range(max(1, span - t), span + 1) if t else ():
+    for d in range(max(1, span - t), span + 1):
         _mark_essential(ess, masks, d)
     # no candidate holds more than span + 1 sensors, so larger sizes clip
     bounds = [_essential_bound(cons, n) for n in range(span + 2)]
@@ -262,17 +262,17 @@ def _outer_table(span, fixed, bits, symmetric, t, cons):
     return left, n_out, [(masks[a:b], kmin[a:b]) for a, b in zip(edges, edges[1:])]
 
 
-def _candidate_blocks(span, k, symmetric, t, outer_table):
+def _candidate_blocks(span, k, symmetric, outer_table):
     """Yield the masks of the size-k candidates spanning exactly span whose
-    lags span - t .. span - 1 all have a pair and whose outer patterns have
-    kmin at most k, in blocks, family by family.
+    outer patterns are in outer_table with kmin at most k, in blocks, family
+    by family.
 
     Each family's outer patterns come from outer_table, an _outer_table
     with its rules bound, and each one kept is joined to every inner mask,
-    the n_in bits from 1 + left, of the remaining popcount. t = 0 under
-    rules that are all off yields every candidate."""
+    the n_in bits from 1 + left, of the remaining popcount. Under rules that
+    are all off, the hole-free one included, every candidate is yielded."""
     for fixed, bits, count in _families(span, k, symmetric):
-        left, n_out, by_popcount = outer_table(span, fixed, bits, symmetric, t)
+        left, n_out, by_popcount = outer_table(span, fixed, bits, symmetric)
         n_in = bits - n_out
         for h in range(max(0, count - n_in), min(n_out, count) + 1):
             masks, kmin = by_popcount[h]
@@ -366,9 +366,6 @@ def _solve_pruned(cons):
     complete) for each size tried."""
     A = cons.max_aperture
     spans = [A] if cons.exact_aperture else list(range(A + 1))
-    # the outer positions decide lags span - t .. span - 1 before a mask is
-    # built; without the hole-free rule every candidate is built
-    t = _LOW_BITS // 2 if cons.require_hole_free else 0
     # the outer tables of a family shape serve every size
     outer_table = functools.cache(functools.partial(_outer_table, cons=cons))
     by_size = []
@@ -385,10 +382,11 @@ def _solve_pruned(cons):
             # pool; a pool holds at most BLOCK masks, which bounds the
             # (masks x lags) float temporaries of leakage
             pool, held = [], 0
-            for masks in _candidate_blocks(span, k, cons.require_symmetric, t, outer_table):
+            for masks in _candidate_blocks(span, k, cons.require_symmetric, outer_table):
                 explored += masks.size
                 if cons.require_hole_free:
-                    masks = _hole_free(masks, span - t - 1)
+                    # the outer table has covered lags span - _OUTER .. span - 1
+                    masks = _hole_free(masks, span - _OUTER - 1)
                 complete += masks.size
                 if held + masks.size > BLOCK:
                     found += _feasible(np.concatenate(pool), span, k, cons).tolist()

@@ -687,6 +687,11 @@ def test_compare_outputs(tmp_path, capsys):
 
 def test_compare_validation(capsys):
     assert main(["compare", "--baselines", "ula:5", "--metrics", "sparkle"]) == 2
+    capsys.readouterr()
+    # a row is a dict, so a repeated metric would give the JSON one column
+    # and the table and CSV two
+    assert main(["compare", "--baselines", "ula:3", "--metrics", "n,n"]) == 2
+    assert capsys.readouterr().err == "error: metric 'n' is named twice\n"
     assert main(["compare", "--metrics", "n"]) == 2
     assert main(["compare", "--baselines", "ula-5"]) == 2
 

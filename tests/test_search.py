@@ -179,16 +179,22 @@ def _digest(res):
 # and pruned are those of the outside-in build, which never builds a mask
 # whose outermost lags are uncovered, or whose outer positions already make
 # too many sensors essential or hold too much coupling for the size;
-# complete counts the hole-free masks among those built. The hole-free
-# candidates of each size are pinned through the kernel without rules, which
-# builds every candidate covering the outer lags
+# complete counts the hole-free masks among those built (every mask built
+# without the hole-free rule). The hole-free candidates of each size are
+# pinned through the kernel without rules, which builds every candidate
+# covering the outer lags
 G2 = (0, 1, 2, 3, 7, 9, 15, 17, 19, 20)
 
-# the outer tables with every rule off: a pattern covering the longest lags
-# makes no more sensors essential than it holds, so it joins every size it
-# fits, and at t = 0 every candidate is built
+# the outer tables with every rule but the hole-free one off: a pattern
+# covering the longest lags makes no more sensors essential than it holds,
+# so it joins every size it fits
 _NO_RULES = functools.cache(functools.partial(
     search._outer_table, cons=DesignConstraints(max_aperture=1, max_fragility=1, max_leakage=1)))
+# the outer tables with every rule off: no pattern is filtered, so every
+# candidate is built
+_EVERY = functools.cache(functools.partial(
+    search._outer_table, cons=DesignConstraints(max_aperture=1, require_hole_free=False,
+                                                max_fragility=1, max_leakage=1)))
 
 
 def _complete(res):
@@ -196,9 +202,8 @@ def _complete(res):
 
 
 def _hole_free_counts(A, res, symmetric=False):
-    t = search._LOW_BITS // 2
-    return [sum(search._hole_free(masks, A - t - 1).size
-                for masks in search._candidate_blocks(A, k, symmetric, t, _NO_RULES))
+    return [sum(search._hole_free(masks, A - search._OUTER - 1).size
+                for masks in search._candidate_blocks(A, k, symmetric, _NO_RULES))
             for k, *_ in res.by_size]
 
 
@@ -224,6 +229,30 @@ def test_pinned_aperture_22():
     assert res.optimum[0].elements == (0, 1, 2, 3, 4, 6, 8, 10, 17, 21, 22)
     assert res.optimum[-1].elements == (0, 2, 5, 7, 11, 12, 18, 19, 20, 21, 22)
     assert _digest(res) == "90624447d17165247b736af03213a70c077d1d54fae289e997930aa5c0acf187"
+
+
+def test_pinned_aperture_22_without_the_hole_free_rule():
+    # the outer cuts apply under every rule set: every pattern that joins a
+    # size here already fits its fragility bound and leakage cap
+    res = solve_p1(DesignConstraints(max_aperture=22, require_hole_free=False))
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (8, 20, 1_638, 80_522)
+    assert _complete(res) == [0] * 6 + [543, 1_095]
+    assert res.optimum[0].elements == (0, 2, 4, 6, 10, 14, 20, 22)
+    assert res.optimum[-1].elements == (0, 6, 8, 10, 12, 14, 16, 22)
+    assert _digest(res) == "27b82cb3f3ff9e24f1dc67ee96c802e196263ce10c34ba3d9809239ba0bc531e"
+
+
+def test_pinned_infeasible_aperture_28_without_the_hole_free_rule():
+    # under fragility 1/10 no size below 20 admits the essential sensors of
+    # any outer pattern; without the outer cuts this query built all 134M
+    # candidates
+    res = solve_p1(DesignConstraints(max_aperture=28, require_hole_free=False,
+                                     max_fragility=Fraction(1, 10)))
+    assert _outcome(res) == (0, (), 3_338_384, 130_879_344)
+    assert _complete(res) == [0] * 19 + [1_700_900, 961_372, 443_097, 165_651, 52_181, 12_561,
+                                         2_296, 300, 25, 1]
+    assert _digest(res) == hashlib.sha256(b"[]").hexdigest()
+    assert res.message == "no feasible array within aperture 28"
 
 
 def test_pinned_infeasible_aperture_18():
@@ -318,7 +347,7 @@ def test_leakage_cut_keeps_the_optima_of_wide_random_mixes(seed):
 def test_pools_split_inside_a_size_keep_the_random_mix_optima(monkeypatch):
     # tiny blocks make the leakage and fragility pass run on many pools per
     # (span, k); a pool never outgrows one block, which bounds its temporaries
-    monkeypatch.setattr(search, "BLOCK", 16)
+    monkeypatch.setattr(search, "BLOCK", 4)
     feasible, pools = search._feasible, []
 
     def spy(masks, span, k, cons):
@@ -334,25 +363,25 @@ def test_pools_split_inside_a_size_keep_the_random_mix_optima(monkeypatch):
     assert max(collections.Counter(key for key, _ in pools).values()) > 1
 
 
-def _outer_essential(c, t):
-    """The sensors of candidate c essential to one of lags span - t .. span
-    by the removal definition; none when t = 0."""
+def _outer_essential(c):
+    """The sensors of candidate c essential to one of its lags among
+    span - t .. span (t = _OUTER) by the removal definition."""
     span = c[-1]
-    outer = set(range(max(1, span - t), span + 1)) if t else set()
+    outer = set(range(max(1, span - search._OUTER), span + 1)) & oracle_differences(c)
     return [g for g in c if not outer <= oracle_differences([e for e in c if e != g])]
 
 
-def _built(c, t, bound, cons):
-    """Whether the kernel builds candidate c: every lag span - t .. span - 1
-    has a pair, at most bound sensors are essential to one of lags
-    span - t .. span, and, under a leakage rule, the sensors at most t from
-    an end (with a symmetric family's centre) hold pairs whose leakage at
-    size len(c) stays within the cap and its margin. t = 0 builds every
-    candidate whose ends and centre pass the leakage rule."""
-    span = c[-1]
-    if not set(range(max(1, span - t), span)) <= oracle_differences(c):
+def _built(c, bound, cons):
+    """Whether the kernel builds candidate c, with t = _OUTER: under the
+    hole-free rule every lag span - t .. span - 1 has a pair; at most bound
+    sensors are essential to one of lags span - t .. span; and, under a
+    leakage rule, the sensors at most t from an end (with a symmetric
+    family's centre) hold pairs whose leakage at size len(c) stays within
+    the cap and its margin."""
+    span, t = c[-1], search._OUTER
+    if cons.require_hole_free and not set(range(max(1, span - t), span)) <= oracle_differences(c):
         return False
-    if len(_outer_essential(c, t)) > bound:
+    if len(_outer_essential(c)) > bound:
         return False
     if cons.max_leakage == 1:
         return True
@@ -372,6 +401,7 @@ def _built(c, t, bound, cons):
     # wide enough for the outer prune to use all its bits
     dict(max_aperture=16, require_symmetric=True),
     dict(max_aperture=14, max_fragility=Fraction(2, 5), max_leakage=0.3),
+    dict(max_aperture=16, require_hole_free=False, max_fragility=Fraction(1, 4)),
 ])
 def test_by_size_counts_every_size_tried(kw):
     # explored counts the candidates the kernel builds and complete the
@@ -379,7 +409,6 @@ def test_by_size_counts_every_size_tried(kw):
     cons = DesignConstraints(**kw)
     res = solve_p1(cons)
     A = cons.max_aperture
-    t = search._LOW_BITS // 2 if cons.require_hole_free else 0
     last = res.optimum_size or A + 1
     assert [row[0] for row in res.by_size] == list(range(1, last + 1))
     assert sum(row[1] for row in res.by_size) == res.explored
@@ -390,7 +419,7 @@ def test_by_size_counts_every_size_tried(kw):
                  and (not cons.require_symmetric or is_symmetric(SensorArray((0,) + rest)))]
         assert explored + pruned == len(cands)
         bound = cons.max_fragility.numerator * k // cons.max_fragility.denominator
-        built = [c for c in cands if _built(c, t, bound, cons)
+        built = [c for c in cands if _built(c, bound, cons)
                  and (not cons.require_hole_free or k * (k - 1) >= 2 * c[-1])]
         assert explored == len(built)
         passing = [c for c in built if difference_coarray(SensorArray(c)).hole_free
@@ -403,7 +432,7 @@ def test_essential_counts_equal_economy_at_span_12():
     # the removal definition, is at most the bound, for every bound 0..k
     span, checked, hole_free = 12, 0, 0
     for k in range(2, span + 2):
-        for masks in search._candidate_blocks(span, k, False, 0, _NO_RULES):
+        for masks in search._candidate_blocks(span, k, False, _EVERY):
             counts = {}
             for mask in masks.tolist():
                 elems = oracle_elements(mask, span)
@@ -434,18 +463,18 @@ def test_results_do_not_depend_on_the_block_size(kw, monkeypatch):
 
 
 def test_candidate_blocks_are_bounded_and_complete(monkeypatch):
-    # t = 0 yields every candidate; with the outer prune on, the joined
-    # outer x inner blocks keep the same bound ((18, 8) and (26, 12) keep
-    # 2,161 and 134 masks at t = 6)
+    # every rule off yields every candidate; with the outer prune on, the
+    # joined outer x inner blocks keep the same bound ((18, 8) and (26, 12)
+    # keep 2,161 and 134 masks under the hole-free rule)
     monkeypatch.setattr(search, "BLOCK", 7)
     for span, k, sym in [(16, 5, False), (27, 3, False), (63, 4, False), (20, 7, True),
                          (19, 4, True), (18, 8, False), (26, 12, True)]:
-        for t in (0, search._LOW_BITS // 2):
-            blocks = list(search._candidate_blocks(span, k, sym, t, _NO_RULES))
+        for table in (_EVERY, _NO_RULES):
+            blocks = list(search._candidate_blocks(span, k, sym, table))
             masks = np.concatenate(blocks or [np.zeros(0, dtype=np.uint64)])
             assert max((b.size for b in blocks), default=0) <= 7
             assert masks.size == np.unique(masks).size
-            assert t or masks.size == search._count_candidates(span, k, sym)
+            assert table is _NO_RULES or masks.size == search._count_candidates(span, k, sym)
             assert (np.bitwise_count(masks) == k).all()
             assert ((masks & 1) == 1).all() and ((masks >> span) == 1).all()
 
@@ -462,12 +491,12 @@ def _spanning(span, k, symmetric):
 def test_outer_prune_drops_exactly_the_candidates_missing_a_long_lag(symmetric):
     # against itertools: the kernel builds exactly the candidates with a pair
     # at every lag span - t .. span - 1, and each one it skips has a hole
-    t = search._LOW_BITS // 2
+    t = search._OUTER
     for span in range(2, 17):
         longest = set(range(max(1, span - t), span))
         for k in range(1, span + 2):
             cands = _spanning(span, k, symmetric)
-            blocks = list(search._candidate_blocks(span, k, symmetric, t, _NO_RULES))
+            blocks = list(search._candidate_blocks(span, k, symmetric, _NO_RULES))
             built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
             covered = [c for c in cands if longest <= oracle_differences(c)]
             assert sorted(built) == covered, (span, k)
@@ -482,7 +511,7 @@ def test_outer_fragility_cut_skips_only_infeasible_candidates(symmetric):
     # leaves one of lags span - t .. span - 1 without a pair, or has more
     # than b essential sensors by the removal definition; each one built is
     # built once
-    t, cut = search._LOW_BITS // 2, 0
+    t, cut = search._OUTER, 0
     for span in range(2, 17):
         longest = set(range(max(1, span - t), span))
         for k in range(2, span + 2):
@@ -494,7 +523,7 @@ def test_outer_fragility_cut_skips_only_infeasible_candidates(symmetric):
                 cons = DesignConstraints(max_aperture=span, max_fragility=frag, max_leakage=1)
                 assert search._essential_bound(cons, k) == bound
                 table = functools.partial(search._outer_table, cons=cons)
-                blocks = search._candidate_blocks(span, k, symmetric, t, table)
+                blocks = search._candidate_blocks(span, k, symmetric, table)
                 built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
                 assert len(built) == len(set(built)) and set(built) <= covered, (span, k, bound)
                 for c in covered - set(built):
@@ -527,32 +556,34 @@ CUT_RULES = [
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_outer_cut_skips_only_infeasible_candidates(symmetric, q, c1, max_leakage,
                                                     max_fragility):
-    # against itertools: each candidate the kernel skips under the rules'
-    # table leaves one of lags span - t .. span - 1 without a pair, has more
-    # sensors essential to lags span - t .. span than the fragility rule
-    # allows, or fails check_constraints' leakage rule; each one built is
-    # built once
-    t, by_leakage = search._LOW_BITS // 2, 0
-    for span in range(2, 17):
+    # against itertools, with and without the hole-free rule: each candidate
+    # the kernel skips under the rules' table leaves one of lags
+    # span - t .. span - 1 without a pair (under the hole-free rule only),
+    # has more sensors essential to its lags among span - t .. span than the
+    # fragility rule allows, or fails check_constraints' leakage rule; each
+    # one built is built once
+    t, by_leakage = search._OUTER, 0
+    for span, hole_free in itertools.product(range(2, 17), (True, False)):
         cons = DesignConstraints(max_aperture=span, require_symmetric=symmetric,
-                                 max_fragility=max_fragility, max_leakage=max_leakage,
+                                 require_hole_free=hole_free, max_fragility=max_fragility,
+                                 max_leakage=max_leakage,
                                  coupling=CouplingModel(q=q, c1_magnitude=c1))
         table = functools.partial(search._outer_table, cons=cons)
         longest = set(range(max(1, span - t), span))
         for k in range(2, span + 2):
             cands = _spanning(span, k, symmetric)
-            blocks = search._candidate_blocks(span, k, symmetric, t, table)
+            blocks = search._candidate_blocks(span, k, symmetric, table)
             built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
             assert len(built) == len(set(built)) and set(built) <= set(cands), (span, k)
             bound = max_fragility.numerator * k // max_fragility.denominator
             for c in set(cands) - set(built):
-                if not longest <= _differences(c):
+                if hole_free and not longest <= _differences(c):
                     continue
                 # check_constraints' leakage rule, without its other metrics
                 if leakage_from_profile(_coarray(c), cons.coupling) > max_leakage:
                     by_leakage += 1
                 else:
-                    assert len(_outer_essential(c, t)) > bound, c
+                    assert len(_outer_essential(c)) > bound, (c, hole_free)
     assert by_leakage > 0
 
 
@@ -562,7 +593,6 @@ def test_leakage_margin_keeps_an_array_at_its_own_leakage():
     # the margin still builds it and the leaf drops it, and a cap lower by
     # more than the margin cuts it before it is built
     model = DesignConstraints(max_aperture=13).coupling
-    t = search._LOW_BITS // 2
     for span, symmetric in ((13, False), (12, False), (12, True)):
         rulers = solve_p1(DesignConstraints(max_aperture=span, require_symmetric=symmetric,
                                             max_fragility=1, max_leakage=1)).optimum
@@ -575,7 +605,7 @@ def test_leakage_margin_keeps_an_array_at_its_own_leakage():
             assert check_constraints(best, cons).feasible is kept
             assert (best in solve_p1(cons).optimum) is kept, (span, cap)
             table = functools.partial(search._outer_table, cons=cons)
-            blocks = search._candidate_blocks(span, len(best.elements), symmetric, t, table)
+            blocks = search._candidate_blocks(span, len(best.elements), symmetric, table)
             masks = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
             assert (best.elements in masks) is built, (span, cap)
 
@@ -627,16 +657,15 @@ def test_outer_table_kmin_equals_the_size_scan(kw):
     # solved for n, equals the ceiling of ess * den / num and the scan of
     # the pattern's own leakage over sizes 1 .. span + 1
     cons = DesignConstraints(**kw)
-    A, symmetric = cons.max_aperture, cons.require_symmetric
-    t = search._LOW_BITS // 2 if cons.require_hole_free else 0
+    A, symmetric, t = cons.max_aperture, cons.require_symmetric, search._OUTER
     shapes = {(span, fixed, bits) for span in ([A] if cons.exact_aperture else range(A + 1))
               for k in range(1, span + 2) for fixed, bits, _ in search._families(span, k, symmetric)}
     for span, fixed, bits in shapes:
-        _, _, by_popcount = search._outer_table(span, fixed, bits, symmetric, t, cons)
+        _, _, by_popcount = search._outer_table(span, fixed, bits, symmetric, cons)
         masks = np.concatenate([m for m, _ in by_popcount])
         kmin = np.concatenate([k for _, k in by_popcount])
         ess = np.zeros_like(masks)
-        for d in range(max(1, span - t), span + 1) if t else ():
+        for d in range(max(1, span - t), span + 1):
             search._mark_essential(ess, masks, d)
         pairs = search._lag_pairs(masks, min(cons.coupling.q, span))
         expected = oracle_smallest_sizes(pairs, np.bitwise_count(ess).tolist(), span, cons,
@@ -693,7 +722,7 @@ def test_kernel_leakage_decisions_match_check_constraints_at_the_cap():
     # equal to the library value both accept, one ulp below it both reject
     model = DesignConstraints(max_aperture=20).coupling
     first = np.array([sum(1 << e for e in (0, 1, 2, 3, 4, 5, 6, 7, 8, 20))], dtype=np.uint64)
-    blocks = search._candidate_blocks(20, 10, False, 0, _NO_RULES)
+    blocks = search._candidate_blocks(20, 10, False, _EVERY)
     masks = np.concatenate([first, next(blocks)[:200]])
     for mask in masks:
         mask = mask.reshape(1)
