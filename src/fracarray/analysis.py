@@ -10,37 +10,34 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CoarrayProfile, difference_coarray, pair_blocks
+from .core import difference_coarray, pair_blocks
+from .fractal import _orders
 
 
-def fractal_weight(generator, r):
-    """Predicted weight map of the order-r expansion of a generator, without
-    building the expanded array: the convolution of stretched copies of the
-    generator weight map, one per order, stretch factors 1, M, M^2, ...
+def fractal_weight(generators, r):
+    """Predicted weight map of the order-r expansion, without building the
+    expanded array: the convolution of the generators' weight maps, one per
+    order, each stretched by its order's stride (1, M_1, M_1 M_2, ...).
 
-    Returns the non-negative half. Exact integer arithmetic throughout.
-    Matches the counted weights of expand(generator, r) whenever the
-    expansion keeps all len(generator)**r translated sensors distinct, which
-    holds in particular for generators with hole-free coarrays; colliding
-    translates lose sensors and the closed form overcounts.
+    generators is expand's argument. Returns the non-negative half. Exact
+    integer arithmetic throughout. Matches the counted weights of
+    expand(generators, r) whenever the expansion keeps every translated
+    sensor distinct, which holds in particular for generators with
+    hole-free coarrays; colliding translates lose sensors and the closed
+    form overcounts.
 
-    Each order is a sparse shift-and-add over the generator's nonzero lags
+    Each order is a sparse shift-and-add over its generator's nonzero lags
     (at most 2 * aperture + 1 of them), so the cost is that of the output.
     """
-    if r < 0:
-        raise ValueError("order must be non-negative")
-    prof = difference_coarray(generator)
-    M = prof.ula_size
-    A = prof.aperture
-    full = np.concatenate([prof.counts[:0:-1], prof.counts])
-    taps = [(k, int(full[k])) for k in np.nonzero(full)[0]]
     out = np.ones(1, dtype=np.int64)
-    for i in range(r):
-        # out convolved with the full map stretched by M**i: the tap at
-        # full-map index k adds w * out shifted by k * M**i
-        stride = M ** i
-        grown = np.zeros(out.size + 2 * A * stride, dtype=np.int64)
-        for k, w in taps:
+    for g, stride in _orders(generators, r):
+        counts = difference_coarray(g).counts
+        full = np.concatenate([counts[:0:-1], counts])
+        # out convolved with the full map stretched by the stride: the tap
+        # at full-map index k adds w * out shifted by k * stride
+        grown = np.zeros(out.size + (full.size - 1) * stride, dtype=np.int64)
+        for k in np.flatnonzero(full).tolist():
+            w = int(full[k])
             start = k * stride
             grown[start:start + out.size] += out if w == 1 else w * out
         out = grown
@@ -88,39 +85,32 @@ def _grid_dtft(w, L):
 
 
 def beampattern(array, omegas):
-    """Beampattern sum_m w(m) exp(-j w m) on the grid np.linspace(-pi, pi, S)
-    that analyze --beampattern samples; any other omegas raise ValueError.
-
-    array is a SensorArray, or its CoarrayProfile when the coarray is
-    already built; the profile is then reused instead of recomputed.
+    """Beampattern sum_m w(m) exp(-j w m) of a SensorArray on the grid
+    np.linspace(-pi, pi, S) that analyze --beampattern samples; any other
+    omegas raise ValueError.
 
     One FFT of the weight map gives every sample in O(A + S log S) for
     aperture A.
     """
     om, L, k = _grid(omegas)
-    prof = array if isinstance(array, CoarrayProfile) else difference_coarray(array)
-    return Beampattern(om, _grid_dtft(prof.counts, L)[k])
+    return Beampattern(om, _grid_dtft(difference_coarray(array).counts, L)[k])
 
 
-def product_beampattern(generator, r, omegas):
+def product_beampattern(generators, r, omegas):
     """Beampattern of the order-r expansion evaluated as a product of
-    generator beampatterns at frequencies scaled by powers of the
-    central-ULA size. Equals the direct transform of the expanded array
-    under the same no-collision proviso as fractal_weight.
+    generator beampatterns, one per order, each at frequencies scaled by
+    its order's stride. generators is expand's argument. Equals the direct
+    transform of the expanded array under the same no-collision proviso as
+    fractal_weight.
 
     omegas must be the np.linspace(-pi, pi, S) grid, as for beampattern.
-    Factor i at sample k is the generator's grid value at index k * M^i
-    mod L: M is odd, so the -pi offset keeps its (-1)^d sign under the
-    stretch. One FFT of the generator serves every order."""
-    if r < 0:
-        raise ValueError("order must be non-negative")
+    The factor of an order with stride s is, at sample k, its generator's
+    grid value at index k * s mod L: s is a product of odd M, so the -pi
+    offset keeps its (-1)^d sign under the stretch."""
     om, L, k = _grid(omegas)
-    prof = difference_coarray(generator)
-    M = prof.ula_size
-    gen = _grid_dtft(prof.counts, L)
     vals = np.ones_like(om)
-    for i in range(r):
-        vals = vals * gen[k * pow(M, i, L) % L]
+    for g, stride in _orders(generators, r):
+        vals = vals * _grid_dtft(difference_coarray(g).counts, L)[k * (stride % L) % L]
     return Beampattern(om, vals)
 
 
@@ -179,9 +169,6 @@ def economy(array):
     """Partition sensors into essential and inessential, with the essential
     fraction as an exact rational.
 
-    array is a SensorArray, or its CoarrayProfile when the coarray is
-    already built; the profile is then reused instead of recomputed.
-
     Both essentialness and C1 come from one walk over the folded pair
     blocks of core.pair_blocks, O(N^2) like the coarray itself at worst: a
     sensor is essential iff it ends a pair at a weight-1 lag or sits
@@ -192,17 +179,11 @@ def economy(array):
 
     A single-sensor array counts as essential by convention, fragility 1.
     """
-    if isinstance(array, CoarrayProfile):
-        profile, array = array, array.array
-    else:
-        profile = None
     elems = array.as_array()
     n = elems.size
     if n == 1:
         return EconomyReport(tuple(array.elements), (), Fraction(1), True, True)
-    if profile is None:
-        profile = difference_coarray(array)
-    mask, c1 = _pair_pass(elems, profile.counts)
+    mask, c1 = _pair_pass(elems, difference_coarray(array).counts)
     essential = tuple(elems[mask].tolist())
     inessential = tuple(elems[~mask].tolist())
     return EconomyReport(essential, inessential, Fraction(int(mask.sum()), n),

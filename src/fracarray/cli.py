@@ -27,7 +27,7 @@ from .core import (ArrayFormatError, SensorArray, _array_json, difference_coarra
                    load_array)
 from .coupling import CouplingModel, leakage_from_profile
 from .doa import Scenario, equally_spaced_thetas, run_sweep
-from .fractal import MAX_ORDER, expand
+from .fractal import MAX_ORDER, _orders, expand
 from .search import APERTURE_GUARD, MAX_SPAN, DesignConstraints, solve_p1
 
 
@@ -171,9 +171,9 @@ _COMPARE_METRICS = tuple(row[0] for row in _METRICS)
 
 def _measure(array, model=None):
     """Every metric of one array keyed by compare key, plus the essential
-    sensors and the coarray profile; leakage needs a coupling model."""
+    sensors; leakage needs a coupling model."""
     prof = difference_coarray(array)
-    rep = economy(prof)
+    rep = economy(array)
     return {
         "n": len(array),
         "aperture": array.aperture,
@@ -186,7 +186,6 @@ def _measure(array, model=None):
         "c1": rep.satisfies_C1,
         "leakage": None if model is None else leakage_from_profile(prof, model),
         "essential": list(rep.essential),
-        "profile": prof,
     }
 
 
@@ -221,7 +220,7 @@ def _cmd_analyze(args, argv):
         _write_output(args.json, json.dumps(report, indent=2) + "\n", argv, args)
     if args.beampattern:
         om = np.linspace(-math.pi, math.pi, args.samples)
-        bp = beampattern(values["profile"], om)
+        bp = beampattern(array, om)
         vals = bp.values / len(array) ** 2 if args.normalize else bp.values
         text = "omega,value\n" + "".join(f"{o:.12g},{v:.12g}\n" for o, v in zip(om, vals))
         _write_output(args.beampattern, text, argv, args)
@@ -235,13 +234,14 @@ def _cmd_expand(args, argv):
                                "pass --max-order to override")
     gens = [load_array(p) for p in args.generators]
     # one file is reused at every order; several give one generator per order
-    out = expand(gens[0] if len(gens) == 1 else gens, args.order, max_order=args.max_order)
+    generators = gens[0] if len(gens) == 1 else gens
+    out = expand(generators, args.order, max_order=args.max_order)
     if args.name:
         out = SensorArray(out.elements, name=args.name)
     # hole-free generators expand to a hole-free array (the M^r law), so
     # the summary line needs no pair count
-    used = gens[:args.order]
-    hole_free = bool(used) and all(difference_coarray(g).hole_free for g in used)
+    orders = _orders(generators, args.order)
+    hole_free = bool(orders) and all(difference_coarray(g).hole_free for g, _ in orders)
     return _emit_array(out, args, argv, hole_free)
 
 
@@ -366,7 +366,9 @@ def _cmd_compare(args, argv):
     model = _coupling_from_args(args)
     headers = ["array"] + metrics
     rows = []
-    for arr in arrays:
+    while arrays:
+        # each array, and the coarray kept on it, is dropped once measured
+        arr = arrays.pop(0)
         values = _measure(arr, model)
         values["array"] = arr.name or " ".join(str(e) for e in arr.elements)
         rows.append({h: values[h] for h in headers})

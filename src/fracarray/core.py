@@ -133,7 +133,6 @@ class CoarrayProfile:
     """Difference coarray of one array: lags, multiplicities, central ULA.
 
     Attributes:
-        array: the source SensorArray
         aperture: largest possible lag (the array aperture)
         counts: read-only int64 vector, counts[d] = ordered pairs at lag d
             for d in 0..aperture; negative lags mirror by symmetry
@@ -145,7 +144,6 @@ class CoarrayProfile:
     """
 
     def __init__(self, array):
-        self.array = array
         pos = array.as_array()
         self.aperture = int(pos[-1])
         self.counts = _pair_counts(pos)
@@ -164,8 +162,17 @@ class CoarrayProfile:
 
 
 def difference_coarray(array):
-    """All pairwise position differences with multiplicities, in one pass."""
-    return CoarrayProfile(array)
+    """All pairwise position differences with multiplicities, in one pass.
+
+    The profile is built once per array and kept on it: a SensorArray never
+    changes, so every later call returns the same profile."""
+    try:
+        return array._coarray
+    except AttributeError:
+        # racing threads each build an equal profile, and no lock serialises them
+        profile = CoarrayProfile(array)
+        object.__setattr__(array, "_coarray", profile)
+        return profile
 
 
 def is_symmetric(array):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import difference_coarray
-from .fractal import expand
+from .fractal import _orders, expand
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class CouplingModel:
     def __post_init__(self):
         if self.q < 0:
             raise ValueError("coupling limit q must be >= 0")
+        if not np.isfinite(self.c1_phase):
+            raise ValueError(f"c1 phase must be finite, got {self.c1_phase}")
         if not 0 <= self.c1_magnitude < 1:
             raise ValueError("c1 magnitude must lie in [0, 1)")
         if self.phase_mode not in ("fixed", "random"):
@@ -140,17 +142,22 @@ class LeakagePreservationReport:
 PRESERVATION_TOL = 1e-12
 
 
-def verify_leakage_preservation(generator, model, r):
+def verify_leakage_preservation(generators, model, r):
     """Check whether expansion leaves the coupling leakage unchanged.
 
-    The sufficient conditions are q < max(G) and q + max(G) < |U| of the
-    generator; when they hold the expanded array decomposes into coupling-
-    isolated replicas of the generator and the leakage is identical.
+    generators is expand's argument. The sufficient conditions are read on
+    the innermost generator G_1: q < max(G_1) and q + max(G_1) < |U| of
+    G_1. Copies of G_1 then sit at offsets that differ by nonzero multiples
+    of that |U|, so they are coupling-isolated, and the expanded array's
+    leakage equals G_1's.
     """
-    prof = difference_coarray(generator)
-    hyp = model.q < generator.aperture and model.q + generator.aperture < prof.ula_size
+    orders = _orders(generators, r)
+    # order 0 takes only the one-generator form
+    g1 = orders[0][0] if orders else generators
+    prof = difference_coarray(g1)
+    hyp = model.q < g1.aperture and model.q + g1.aperture < prof.ula_size
     lg = leakage_from_profile(prof, model)
-    pos = expand(generator, r).as_array()
+    pos = expand(generators, r).as_array()
     lr = float(leakage_from_counts(_near_lag_counts(pos, model.q), pos.size, model.c1_magnitude))
     preserved = bool(abs(lr - lg) <= PRESERVATION_TOL) if hyp else None
     return LeakagePreservationReport(hyp, lg, lr, preserved)

@@ -82,8 +82,9 @@ class Scenario:
         p = tuple(float(x) for x in self.powers) or (1.0,) * len(th)
         if len(p) != len(th):
             raise ValueError("powers must match the source count")
-        if any(x <= 0 for x in p):
-            raise ValueError("source powers must be positive")
+        for x in p:
+            if not 0 < x < math.inf:
+                raise ValueError(f"source powers must be positive and finite, got {x}")
         object.__setattr__(self, "powers", p)
         if self.snapshots < 1:
             raise ValueError("need at least one snapshot")
@@ -170,11 +171,7 @@ def coarray_statistics(x, array):
     pos = array.as_array()
     if x.shape[0] != pos.size:
         raise ValueError("snapshot rows must match the array size")
-    return _lag_means(x, pos, difference_coarray(array))
-
-
-def _lag_means(x, pos, prof):
-    """coarray_statistics on positions pos whose coarray profile is prof."""
+    prof = difference_coarray(array)
     R = (x @ x.conj().T) / x.shape[1]
     m = prof.central_ula_halfwidth
     lag = pos[:, None] - pos[None, :]
@@ -325,13 +322,11 @@ def run_trial(scenario, seed):
     except EstimationFailure:
         return None, "all_dead"
     surviving = SensorArray(pos.tolist())
-    prof = difference_coarray(surviving)
     num_sources = len(scenario.thetas)
     # coarray_music's identifiability test, known before any snapshot
-    if prof.central_ula_halfwidth + 1 <= num_sources:
+    if difference_coarray(surviving).central_ula_halfwidth + 1 <= num_sources:
         return None, "identifiability"
-    x = _snapshots(scenario, pos, surviving, rng)
-    virtual = _lag_means(x, surviving.as_array(), prof)
+    virtual = coarray_statistics(_snapshots(scenario, pos, surviving, rng), surviving)
     try:
         return coarray_music(virtual, num_sources, scenario.grid_size), None
     except EstimationFailure:

@@ -8,23 +8,14 @@ from .core import SensorArray, difference_coarray
 MAX_ORDER = 8
 
 
-def expand(generators, r, max_order=MAX_ORDER):
-    """Order-r fractal expansion.
-
-    generators is one SensorArray, reused at every order, or a sequence that
-    gives the generator of each order (r must then lie in 1..len). Order 0
-    is the single sensor {0}; each further order unions translated copies of
-    the current array, one copy per element n of that order's generator,
-    shifted by n times the product of the central-ULA sizes M of the
-    generators already applied. Overlapping replicas (possible only when a
-    generator coarray has holes) are deduplicated and the true element count
-    is whatever survives.
-    """
+def _orders(generators, r):
+    """[(generator, stride)] for orders 1..r of expand's argument, which it
+    validates. The stride of an order is the product of the central-ULA
+    sizes M of the earlier orders' generators."""
     if isinstance(generators, SensorArray):
         if r < 0:
             raise ValueError("order must be non-negative")
         gens = [generators] * r
-        name = f"{generators.name}^{r}" if generators.name else ""
     else:
         gens = list(generators)
         if not gens:
@@ -32,16 +23,31 @@ def expand(generators, r, max_order=MAX_ORDER):
         if not 1 <= r <= len(gens):
             raise ValueError(f"order must lie in 1..{len(gens)}")
         gens = gens[:r]
-        name = ""
+    strides = [1]
+    for g in gens[:-1]:
+        strides.append(strides[-1] * difference_coarray(g).ula_size)
+    return list(zip(gens, strides))
+
+
+def expand(generators, r, max_order=MAX_ORDER):
+    """Order-r fractal expansion. generators is one SensorArray, reused at
+    every order, or a sequence with one generator per order (r must then
+    lie in 1..len).
+
+    Order 0 is the single sensor {0}; each further order unions translated
+    copies of the current array, one copy per element n of that order's
+    generator, shifted by n times the order's stride. Overlapping replicas
+    (possible only when a generator coarray has holes) are deduplicated and
+    the true element count is whatever survives.
+    """
     if r > max_order:
         raise ValueError(f"order {r} exceeds the safety cap {max_order}; "
                          f"pass max_order to override")
     elems = np.zeros(1, dtype=np.int64)
-    factor = 1
-    for g in gens:
-        elems = np.unique((elems[None, :] + g.as_array()[:, None] * factor).ravel())
-        factor *= difference_coarray(g).ula_size
-    return SensorArray(elems.tolist(), name=name)
+    for g, stride in _orders(generators, r):
+        elems = np.unique((elems[None, :] + g.as_array()[:, None] * stride).ravel())
+    named = isinstance(generators, SensorArray) and generators.name
+    return SensorArray(elems.tolist(), name=f"{generators.name}^{r}" if named else "")
 
 
 def cantor(r):

@@ -108,7 +108,7 @@ def check_constraints(array, constraints):
         ap_ok = ap <= constraints.max_aperture
     sym = is_symmetric(array)
     hf = prof.hole_free
-    frag = economy(prof).fragility
+    frag = economy(array).fragility
     leak = leakage_from_profile(prof, constraints.coupling)
     return FeasibilityReport(
         array=array, aperture=ap, aperture_ok=ap_ok,

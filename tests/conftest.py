@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fracarray import (ArrayFormatError, EconomyReport, EstimationFailure, IdentifiabilityError,
-                       SensorArray, check_constraints, coupling_matrix, difference_coarray)
+from fracarray import (ArrayFormatError, CoarrayProfile, EconomyReport, EstimationFailure,
+                       IdentifiabilityError, SensorArray, check_constraints, coupling_matrix,
+                       difference_coarray)
 from fracarray.coupling import leakage_from_counts
 
 # reference designs used across the suite
@@ -359,6 +360,15 @@ def random_elements(rng, max_aperture, min_aperture=1):
     return (0, *middle, span)
 
 
+def mixed_sequences(pool, rng, count):
+    """count lists of three SensorArrays, drawn from a pool of element
+    tuples with at least two sensors each: expand's one-generator-per-order
+    argument."""
+    pool = [g for g in pool if len(g) >= 2]
+    return [[SensorArray(pool[i]) for i in rng.integers(len(pool), size=3)]
+            for _ in range(count)]
+
+
 @pytest.fixture(scope="session")
 def small_pool():
     return arrays_with_aperture_upto(6)
@@ -367,3 +377,18 @@ def small_pool():
 @pytest.fixture(scope="session")
 def hole_free_pool():
     return [t for t in arrays_with_aperture_upto(8) if oracle_hole_free(t)]
+
+
+@pytest.fixture
+def coarray_builds(monkeypatch):
+    """The arrays a CoarrayProfile is built for while the test runs, in
+    build order."""
+    built = []
+    init = CoarrayProfile.__init__
+
+    def spy(self, array):
+        built.append(array)
+        init(self, array)
+
+    monkeypatch.setattr(CoarrayProfile, "__init__", spy)
+    return built

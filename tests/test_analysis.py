@@ -21,6 +21,7 @@ from fracarray import (
 from conftest import (
     S_ELEMS,
     G_ELEMS,
+    mixed_sequences,
     oracle_collision_free,
     oracle_economy,
     oracle_essential,
@@ -157,8 +158,8 @@ def test_beampattern_matches_direct_exponential_sum():
 def test_off_grid_omegas_are_rejected(om):
     gen = SensorArray((0, 1, 4, 6))
     for call in (lambda: beampattern(gen, om),
-                 lambda: beampattern(difference_coarray(gen), om),
-                 lambda: product_beampattern(gen, 2, om)):
+                 lambda: product_beampattern(gen, 2, om),
+                 lambda: product_beampattern([gen, SensorArray((0, 1))], 2, om)):
         with pytest.raises(ValueError, match=r"np\.linspace\(-pi, pi, S\)"):
             call()
 
@@ -178,10 +179,12 @@ def test_grid_beampattern_matches_exact_phase_oracle(grid_profiles, key, samples
     # lags -A..A alias when L < 2A + 1: on every array at 3 samples, on all
     # but g^1 (L = 13 = 2A + 1 exactly) at 14, from g^2 on at 101 and from
     # g^3 on at 1024
-    prof = grid_profiles[key]
+    arr, prof = _GRID_ARRAYS[key], grid_profiles[key]
     om = np.linspace(-np.pi, np.pi, samples)
-    bp = beampattern(prof, om)
-    n2 = len(prof.array) ** 2
+    bp = beampattern(arr, om)
+    # the fixture's coarray is the one beampattern read
+    assert difference_coarray(arr) is prof
+    n2 = len(arr) ** 2
     assert np.array_equal(bp.omegas, om)
     assert bp.values.shape == (samples,)
     oracle = oracle_grid_beampattern(prof.counts, samples)
@@ -196,7 +199,10 @@ def test_grid_product_beampattern_matches_expanded_direct(grid_profiles, samples
     om = np.linspace(-np.pi, np.pi, samples)
     for r in range(6):
         prod = product_beampattern(gen, r, om)
-        direct = beampattern(grid_profiles[f"g^{r}"] if r else SensorArray((0,)), om)
+        big = _GRID_ARRAYS[f"g^{r}"] if r else SensorArray((0,))
+        direct = beampattern(big, om)
+        if r:
+            assert difference_coarray(big) is grid_profiles[f"g^{r}"]
         assert np.max(np.abs(prod.values - direct.values)) <= 1e-14 * 16 ** r
 
 
@@ -216,13 +222,45 @@ def test_grid_product_beampattern_on_random_generators(seed):
 
 
 def test_beampattern_of_profile_equals_beampattern_of_array():
-    arr = SensorArray((0, 1, 4, 6), name="g")
-    for a in (arr, expand(arr, 3)):
-        om = np.linspace(-np.pi, np.pi, 257)
-        direct = beampattern(a, om)
-        reused = beampattern(difference_coarray(a), om)
+    # a coarray built first is the one beampattern reads, and it gives the
+    # bytes an array without a coarray yet gets from its own
+    om = np.linspace(-np.pi, np.pi, 257)
+    gen = SensorArray((0, 1, 4, 6), name="g")
+    for elems in (gen.elements, expand(gen, 3).elements):
+        a = SensorArray(elems)
+        prof = difference_coarray(a)
+        reused = beampattern(a, om)
+        assert difference_coarray(a) is prof
+        direct = beampattern(SensorArray(elems), om)
         assert reused.values.tobytes() == direct.values.tobytes()
         assert np.array_equal(reused.omegas, direct.omegas)
+        oracle = oracle_grid_beampattern(prof.counts, om.size)
+        assert np.max(np.abs(reused.values - oracle)) <= 1e-14 * len(a) ** 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weight_and_beampattern_laws_for_mixed_sequences(seed, hole_free_pool):
+    # one hole-free generator per order: the weights are the stretched
+    # convolution bit for bit, and the beampattern the stretched product
+    om = np.linspace(-np.pi, np.pi, 257)
+    for gens in mixed_sequences(hole_free_pool, np.random.default_rng(80 + seed), 5):
+        for r in (1, 2, 3):
+            big = expand(gens, r)
+            counted = difference_coarray(big).counts
+            w = fractal_weight(gens, r)
+            assert w.dtype == counted.dtype and np.array_equal(w, counted)
+            prod = product_beampattern(gens, r, om).values
+            direct = beampattern(big, om).values
+            assert np.max(np.abs(prod - direct)) <= 1e-9 * len(big) ** 2
+
+
+def test_laws_take_a_repeated_sequence_as_the_one_generator_form():
+    gen = SensorArray((0, 1, 2, 6, 9))
+    om = np.linspace(-np.pi, np.pi, 101)
+    for r in (1, 2, 3):
+        assert np.array_equal(fractal_weight([gen] * 3, r), fractal_weight(gen, r))
+        assert (product_beampattern([gen] * r, r, om).values.tobytes()
+                == product_beampattern(gen, r, om).values.tobytes())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -439,7 +477,11 @@ def test_pair_route_across_chunk_boundaries(monkeypatch):
     expand(SensorArray(G_ELEMS), 2),
 ))
 def test_economy_of_profile_equals_economy_of_array(arr):
-    assert economy(difference_coarray(arr)) == economy(arr) == oracle_economy(arr.elements)
+    # economy of an array whose coarray is built equals that of a fresh one
+    # and the oracle, and leaves the built coarray in place
+    prof = difference_coarray(arr)
+    assert economy(arr) == economy(SensorArray(arr.elements)) == oracle_economy(arr.elements)
+    assert difference_coarray(arr) is prof
 
 
 def test_laws_one_order_higher():
@@ -453,7 +495,8 @@ def test_laws_one_order_higher():
     assert prof.hole_free and prof.dof == 13 ** 6
     w = fractal_weight(gen, 6)
     assert w.dtype == prof.counts.dtype and np.array_equal(w, prof.counts)
-    rep = economy(prof)
+    rep = economy(big)
+    assert difference_coarray(big) is prof
     assert rep.fragility <= economy(gen).fragility
     assert rep.satisfies_C1
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -722,6 +723,49 @@ def test_simulate_rejects_a_phase_without_coupling(coupling, tmp_path, capsys):
         "error: --coupling-c1-phase needs coupling: a --coupling-c1-mag above 0 "
         "or --sweep coupling\n")
     assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
+def test_simulate_rejects_a_non_finite_phase(phase, tmp_path, capsys):
+    # CouplingModel rejects it, before any draw can warn or LAPACK fail
+    src = _write(tmp_path / "g.json", (0, 1, 4, 6))
+    dump = tmp_path / "trials.jsonl"
+    assert _exits_two_with_error([
+        "simulate", "--array", src, "--sources", "3", "--sweep", "snr", "--grid", "0",
+        "--trials", "2", "--coupling-c1-mag", "0.2", f"--coupling-c1-phase={phase}",
+        "--dump-trials", str(dump)], capsys) == f"error: c1 phase must be finite, got {phase}\n"
+    assert not dump.exists()
+
+
+def test_each_array_builds_its_coarray_once_per_request(tmp_path, capsys, coarray_builds):
+    big = expand(SensorArray((0, 1, 4, 6)), 3)
+    src = _write(tmp_path / "g3.json", big.elements)
+    holed = _write(tmp_path / "h.json", (0, 2, 3, 9))
+    coarray_builds.clear()  # expand's build of the generator's
+    assert main(["analyze", src, "--json", str(tmp_path / "r.json"),
+                 "--beampattern", str(tmp_path / "bp.csv")]) == 0
+    assert [a.elements for a in coarray_builds] == [big.elements]
+    coarray_builds.clear()
+    assert main(["compare", "--arrays", f"{src},{holed}", "--baselines", "nested:2,2;mra:5",
+                 "--metrics", ",".join(cli._COMPARE_METRICS)]) == 0
+    assert [a.elements for a in coarray_builds] == [
+        big.elements, (0, 2, 3, 9), nested(2, 2).elements, mra(5).elements]
+
+
+def test_compare_keeps_no_array_past_its_row(monkeypatch, capsys):
+    # an array keeps its coarray, so a table of large arrays holds one
+    # count vector at a time, not one per row
+    seen = []
+    measure = cli._measure
+
+    def spy(array, model=None):
+        assert all(ref() is None for ref in seen)
+        seen.append(weakref.ref(array))
+        return measure(array, model)
+
+    monkeypatch.setattr(cli, "_measure", spy)
+    assert main(["compare", "--baselines", "ula:5;nested:2,2;mra:5"]) == 0
+    assert len(seen) == 3
 
 
 def _sweep_csv(points):

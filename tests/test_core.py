@@ -1,5 +1,9 @@
 import enum
+import gc
 import json
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -7,8 +11,11 @@ import pytest
 from fracarray import (
     ArrayFormatError,
     SensorArray,
+    beampattern,
     difference_coarray,
     dump_array,
+    economy,
+    expand,
     is_symmetric,
     load_array,
     parse_array,
@@ -269,5 +276,59 @@ def test_dump_is_loadable_json(tmp_path):
 def test_large_random_coarray_against_sets(seed):
     rng = np.random.default_rng(300 + seed)
     elems = tuple(sorted(set(map(int, rng.integers(0, 200, size=25)))))
-    prof = difference_coarray(SensorArray(elems))
-    assert set(coarray_lags(prof)) == oracle_differences(prof.array.elements)
+    arr = SensorArray(elems)
+    prof = difference_coarray(arr)
+    assert difference_coarray(arr) is prof
+    assert set(coarray_lags(prof)) == oracle_differences(arr.elements)
+
+
+def test_coarray_is_built_once_and_kept_on_its_array(coarray_builds):
+    arr = SensorArray((0, 1, 4, 6), name="g")
+    prof = difference_coarray(arr)
+    assert difference_coarray(arr) is prof
+    assert coarray_builds == [arr]
+    # the kept profile takes no part in equality, hashing or the repr
+    fresh = SensorArray((0, 1, 4, 6), name="g")
+    assert arr == fresh and hash(arr) == hash(fresh) and repr(arr) == repr(fresh)
+    # an equal array keeps a profile of its own
+    assert difference_coarray(fresh) is not prof
+    assert len(coarray_builds) == 2
+
+
+def test_an_array_and_its_coarray_die_without_the_collector():
+    # the profile holds no reference back to its array, so no cycle keeps
+    # a large count vector alive until the collector runs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        arr = expand(SensorArray((0, 1, 4, 6)), 3)
+        prof = weakref.ref(difference_coarray(arr))
+        economy(arr)
+        beampattern(arr, np.linspace(-np.pi, np.pi, 64))
+        ref = weakref.ref(arr)
+        del arr
+        assert ref() is None and prof() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_threads_that_race_on_one_coarray_read_equal_profiles():
+    arr = SensorArray(random_elements(np.random.default_rng(7), 400, 300))
+    want = difference_coarray(SensorArray(arr.elements)).counts
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: got.append(difference_coarray(arr)))
+                   for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(got) == 8
+    assert all(np.array_equal(p.counts, want) for p in got)
+    kept = difference_coarray(arr)
+    assert kept in got and difference_coarray(arr) is kept

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from conftest import (
     S_ELEMS,
     G_ELEMS,
     matrix_leakage,
+    mixed_sequences,
     oracle_hole_free,
     oracle_leakage,
     oracle_leakage_size,
@@ -38,6 +41,13 @@ def test_model_validation():
         CouplingModel(c1_magnitude=-0.1)
     with pytest.raises(ValueError):
         CouplingModel(phase_mode="chaotic")
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", ["fixed", "random"])
+def test_model_rejects_a_non_finite_phase(phase, mode):
+    with pytest.raises(ValueError, match=f"^c1 phase must be finite, got {phase}$"):
+        CouplingModel(c1_magnitude=0.2, c1_phase=phase, phase_mode=mode)
 
 
 def test_coefficients_magnitude_decay():
@@ -203,6 +213,51 @@ def test_preservation_report_when_hypotheses_fail():
     assert not rep.hypotheses_hold
     assert rep.preserved is None
     assert rep.generator_leakage > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_leakage_law_for_mixed_sequences(seed, hole_free_pool):
+    # the hypotheses are read on the innermost generator G_1 alone; for a
+    # hole-free G_1, |U| = 2 max(G_1) + 1, so they hold iff q < max(G_1)
+    rng = np.random.default_rng(500 + seed)
+    held = 0
+    for gens in mixed_sequences(hole_free_pool, rng, 5):
+        g1 = gens[0]
+        for r in (1, 2, 3):
+            model = CouplingModel(q=int(rng.integers(0, 9)), c1_magnitude=0.25)
+            rep = verify_leakage_preservation(gens, model, r)
+            assert rep.hypotheses_hold == (model.q < g1.aperture)
+            assert rep.generator_leakage == leakage_from_profile(difference_coarray(g1), model)
+            big = expand(gens, r)
+            assert rep.expanded_leakage == leakage_from_profile(difference_coarray(big), model)
+            assert rep.preserved is (True if rep.hypotheses_hold else None)
+            held += rep.hypotheses_hold
+    assert held
+
+
+def test_leakage_law_reads_the_innermost_generator():
+    # at q = 2, G_1 = (0, 1) fails q < max(G_1), though (0, 1, 4, 6) outside
+    # it meets both conditions: no verdict, and both leakages reported
+    inner, outer = SensorArray((0, 1)), SensorArray((0, 1, 4, 6))
+    model = CouplingModel(q=2, c1_magnitude=0.3)
+    assert verify_leakage_preservation(outer, model, 1).hypotheses_hold
+    rep = verify_leakage_preservation([inner, outer], model, 2)
+    assert not rep.hypotheses_hold and rep.preserved is None
+    big = expand([inner, outer], 2)
+    assert rep.generator_leakage == pytest.approx(oracle_leakage(inner.elements, 2, 0.3),
+                                                  abs=1e-12)
+    assert rep.expanded_leakage == pytest.approx(oracle_leakage(big.elements, 2, 0.3),
+                                                 abs=1e-12)
+    assert rep.expanded_leakage != pytest.approx(rep.generator_leakage, abs=1e-6)
+    # swapped, G_1 = (0, 1, 4, 6) meets them and the law holds
+    swapped = verify_leakage_preservation([outer, inner], model, 2)
+    assert swapped.hypotheses_hold and swapped.preserved is True
+
+
+def test_leakage_law_builds_the_generator_coarray_once(coarray_builds):
+    gen = SensorArray((0, 1, 4, 6))
+    assert verify_leakage_preservation(gen, CouplingModel(q=5), 4).preserved is True
+    assert [id(a) for a in coarray_builds] == [id(gen)]
 
 
 def test_preservation_for_nested_generator():

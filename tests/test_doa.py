@@ -81,6 +81,13 @@ def test_scenario_validation():
         _scenario(grid_size=2)
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -1.0])
+def test_scenario_rejects_a_power_that_is_not_positive_and_finite(power):
+    with pytest.raises(ValueError,
+                       match=f"^source powers must be positive and finite, got {power}$"):
+        _scenario(powers=(1.0, power))
+
+
 @pytest.mark.parametrize("snr", [math.nan, -math.inf])
 def test_scenario_rejects_nan_and_minus_inf_snr(monkeypatch, snr):
     with pytest.raises(ValueError, match="SNR must be finite"):
@@ -406,6 +413,20 @@ def test_trial_seed_is_order_free_and_distinct():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
     assert not np.array_equal(a, e)
+
+
+def test_run_trial_builds_one_coarray_per_trial(coarray_builds):
+    # the surviving array's coarray serves the identifiability test and the
+    # lag statistics; the scenario's own array gets none
+    sc = _faults_scenario()
+    causes = set()
+    for i in range(12):
+        coarray_builds.clear()
+        _, cause = run_trial(sc, trial_seed(0, 0.1, i))
+        causes.add(cause)
+        assert len(coarray_builds) == (cause != "all_dead")
+        assert all(a is not sc.array for a in coarray_builds)
+    assert None in causes
 
 
 def test_run_trial_deterministic():

@@ -186,3 +186,16 @@ def test_expanded_size_bounded_by_power(seed):
         assert len(out) <= len(gen) ** r
         if oracle_hole_free(gen.elements):
             assert len(out) == len(gen) ** r
+
+
+def test_expand_builds_each_generator_coarray_once(coarray_builds):
+    gen = SensorArray((0, 1, 4, 6))
+    expand(gen, 5)
+    assert [id(a) for a in coarray_builds] == [id(gen)]
+    coarray_builds.clear()
+    a, b = SensorArray((0, 1)), SensorArray((0, 1, 2))
+    expand([a, b, a], 3)
+    assert [id(g) for g in coarray_builds] == [id(a), id(b)]
+    # no stride reads the outermost generator's M
+    expand([a, SensorArray((0, 1, 3))], 2)
+    assert len(coarray_builds) == 2

@@ -76,6 +76,12 @@ def test_check_constraints_reference_designs():
     assert check_constraints(SensorArray(G_ELEMS), free).feasible
 
 
+def test_check_constraints_builds_the_coarray_once(coarray_builds):
+    arr = SensorArray(G_ELEMS)
+    assert check_constraints(arr, DesignConstraints(max_aperture=20)).feasible
+    assert [id(a) for a in coarray_builds] == [id(arr)]
+
+
 def test_check_constraints_aperture_modes():
     cons = DesignConstraints(max_aperture=20)
     short = SensorArray(tuple(range(10)))
