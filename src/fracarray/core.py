@@ -124,7 +124,7 @@ def _pair_counts(pos):
     A = int(pos[-1])
     counts = np.zeros(A + 1, dtype=np.int64)
     for _, d in pair_blocks(pos):
-        counts += np.bincount(d.ravel(), minlength=A + 1)
+        np.add.at(counts, d.ravel(), 1)
     counts[0] = pos.size
     return counts
 

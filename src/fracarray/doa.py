@@ -108,6 +108,8 @@ def equally_spaced_thetas(k, lo=-0.45, hi=0.45):
     """k distinct normalized directions covering [lo, hi] uniformly."""
     if k < 1:
         raise ValueError("need at least one source")
+    if k >= 2 ** 63:  # numpy's linspace takes an int64 count
+        raise ValueError(f"source count {k} does not fit a 64-bit integer")
     if k == 1:
         return ((lo + hi) / 2.0,)
     return tuple(float(t) for t in np.linspace(lo, hi, k))

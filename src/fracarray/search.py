@@ -23,7 +23,6 @@ too many. The optima are decoded from their masks.
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,6 +121,8 @@ def check_constraints(array, constraints):
 @dataclass(frozen=True)
 class SearchResult:
     """All minimum-cardinality feasible arrays, in lexicographic order.
+    Every field is decided by the constraints alone, so equal constraints
+    give equal results.
 
     explored counts candidates built and tested by the block kernel;
     pruned counts candidates ruled out by sound bounds without being built:
@@ -140,7 +141,6 @@ class SearchResult:
     optimum_size: int
     explored: int
     pruned: int
-    wall_time: float
     message: str = ""
     by_size: tuple = ()
 
@@ -168,8 +168,6 @@ def _combinations(nbits, c, limit):
     """Yield every nbits-bit mask with popcount c, in blocks of at most
     limit masks: high-bit prefixes joined to the low-bit table group with
     the remaining popcount."""
-    if not 0 <= c <= nbits:
-        return
     groups = _popcount_groups()
     if nbits <= _LOW_BITS:
         group = groups[c]
@@ -320,15 +318,14 @@ def _fragility_cut(masks, span, k, bound):
 
 
 def _optima(masks, k):
-    """The element lists of size-k masks, in lexicographic order. Row i of
-    the little-endian bit matrix holds bit e of mask i in column e. Packed
-    big-endian, a row reads as its mask with the bits reversed, and the
-    lists run in descending order of that: the first position where two
-    lists differ is the lowest bit where their masks do."""
+    """The element lists of size-k masks, in lexicographic order: row i of
+    the little-endian bit matrix holds bit e of mask i in column e, and its
+    nonzero columns are mask i's elements, ascending."""
     bits = np.unpackbits(np.asarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8),
                          axis=1, bitorder="little")
-    order = np.argsort(np.packbits(bits, axis=1).view(">u8").ravel())[::-1]
-    return np.nonzero(bits[order])[1].reshape(-1, k).tolist()
+    elems = np.nonzero(bits)[1].reshape(-1, k)
+    # lexsort's last key is the primary one
+    return elems[np.lexsort(elems.T[::-1])].tolist()
 
 
 def _hole_free(masks, lags):
@@ -361,14 +358,28 @@ def _count_candidates(span, k, symmetric):
     return sum(math.comb(bits, count) for _, bits, count in _families(span, k, symmetric))
 
 
-def _solve_pruned(cons):
-    """(optima, their size, by_size): by_size holds (k, explored, pruned,
-    complete) for each size tried."""
+def solve_p1(constraints, force=False):
+    """Find every minimum-cardinality array satisfying the constraints.
+
+    Candidates contain 0; ascending cardinality with lexicographic order
+    inside each size makes the result deterministic, and it holds nothing
+    but what the constraints decide, so repeated calls return equal
+    results. Apertures above APERTURE_GUARD require force=True
+    (enumeration is exponential); apertures above MAX_SPAN do not fit a
+    candidate mask and raise ValueError even then.
+    """
+    cons = constraints
     A = cons.max_aperture
+    if A > MAX_SPAN:
+        raise ValueError(f"aperture {A} exceeds {MAX_SPAN}, "
+                         f"the largest span a 64-bit candidate mask holds")
+    if A > APERTURE_GUARD and not force:
+        raise ValueError(f"aperture {A} exceeds the "
+                         f"exhaustive-search guard {APERTURE_GUARD}; pass force=True")
     spans = [A] if cons.exact_aperture else list(range(A + 1))
     # the outer tables of a family shape serve every size
     outer_table = functools.cache(functools.partial(_outer_table, cons=cons))
-    by_size = []
+    by_size, sols, size = [], [], 0
     for k in range(1, A + 2):
         # every candidate of size k not explored is pruned unbuilt
         found, candidates, explored, complete = [], 0, 0, 0
@@ -397,28 +408,8 @@ def _solve_pruned(cons):
                 found += _feasible(np.concatenate(pool), span, k, cons).tolist()
         by_size.append((k, explored, candidates - explored, complete))
         if found:
-            return [SensorArray(e) for e in _optima(found, k)], k, by_size
-    return [], 0, by_size
-
-
-def solve_p1(constraints, force=False):
-    """Find every minimum-cardinality array satisfying the constraints.
-
-    Candidates contain 0; ascending cardinality with lexicographic order
-    inside each size makes the result deterministic. Apertures above
-    APERTURE_GUARD require force=True (enumeration is exponential);
-    apertures above MAX_SPAN do not fit a candidate mask and raise
-    ValueError even then.
-    """
-    if constraints.max_aperture > MAX_SPAN:
-        raise ValueError(f"aperture {constraints.max_aperture} exceeds {MAX_SPAN}, "
-                         f"the largest span a 64-bit candidate mask holds")
-    if constraints.max_aperture > APERTURE_GUARD and not force:
-        raise ValueError(f"aperture {constraints.max_aperture} exceeds the "
-                         f"exhaustive-search guard {APERTURE_GUARD}; pass force=True")
-    t0 = time.perf_counter()
-    sols, size, by_size = _solve_pruned(constraints)
-    elapsed = time.perf_counter() - t0
-    msg = "" if sols else f"no feasible array within aperture {constraints.max_aperture}"
+            sols, size = [SensorArray(e) for e in _optima(found, k)], k
+            break
+    msg = "" if sols else f"no feasible array within aperture {A}"
     return SearchResult(tuple(sols), size, sum(s[1] for s in by_size),
-                        sum(s[2] for s in by_size), elapsed, msg, tuple(by_size))
+                        sum(s[2] for s in by_size), msg, tuple(by_size))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import platform
+import random
 import re
 import subprocess
 import sys
@@ -818,15 +819,21 @@ CLI_SURFACE = {
 }
 
 
-def test_cli_surface_has_one_spelling_per_input(capsys):
+def _surface_actions():
+    """{subcommand: {input: its argparse action}}, inputs named as in
+    CLI_SURFACE; a BooleanOptionalAction's --no- form sets the same value."""
     subs = next(a for a in cli._build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
-    assert list(subs.choices) == list(CLI_SURFACE)
-    for name, sub in subs.choices.items():
-        # a BooleanOptionalAction's --no- form sets the same value
-        got = {a.option_strings[0] if a.option_strings else a.dest
-               for a in sub._actions if not isinstance(a, argparse._HelpAction)}
-        assert got == CLI_SURFACE[name], name
+    return {name: {a.option_strings[0] if a.option_strings else a.dest: a
+                   for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+            for name, sub in subs.choices.items()}
+
+
+def test_cli_surface_has_one_spelling_per_input(capsys):
+    surface = _surface_actions()
+    assert list(surface) == list(CLI_SURFACE)
+    for name, actions in surface.items():
+        assert set(actions) == CLI_SURFACE[name], name
     assert sum(len(v) for v in CLI_SURFACE.values()) == 47
     for name in CLI_SURFACE:
         with pytest.raises(SystemExit) as exc:
@@ -998,3 +1005,106 @@ def test_every_written_file_has_a_matching_manifest(argv, written, holds, tmp_pa
     assert manifest["outputs"] == [{"path": written,
                                     "sha256": hashlib.sha256(data).hexdigest(),
                                     "bytes": len(data)}]
+
+
+def _reproducible_bytes(path):
+    """A written file's bytes; a manifest's without its creation time."""
+    if not path.name.endswith(".manifest.json"):
+        return path.read_bytes()
+    manifest = json.loads(path.read_text())
+    del manifest["created"]
+    return manifest
+
+
+# one argv per command that writes files, every output flag set
+RERUN_ARGVS = {
+    "analyze": ["analyze", "{d}/g.json", "--json", "{d}/r.json", "--beampattern", "{d}/bp.csv",
+                "--samples", "16"],
+    "expand": ["expand", "{d}/g.json", "--order", "2", "--out", "{d}/g2.json"],
+    "baseline": ["baseline", "nested:2,3", "--out", "{d}/na.json"],
+    "search": ["search", "--max-aperture", "14", "--json", "{d}/s.json"],
+    **{f"simulate-threads-{t}": ["simulate", "--baseline", "nested:2,3", "--sources", "2",
+                                 "--snapshots", "50", "--trials", "4", "--grid-size", "256",
+                                 "--sweep", "failure", "--grid", "0,0.2",
+                                 "--coupling-c1-mag", "0.3", "--threads", t,
+                                 "--out", "{d}/sim.csv", "--dump-trials", "{d}/t.jsonl"]
+       for t in ("1", "2")},
+    "compare": ["compare", "--arrays", "{d}/g.json", "--baselines", "ula:4",
+                "--json", "{d}/c.json", "--csv", "{d}/c.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", RERUN_ARGVS.values(), ids=RERUN_ARGVS)
+def test_every_written_file_is_reproducible(argv, tmp_path, capsys):
+    _write(tmp_path / "g.json", (0, 1, 4, 6), name=GEN_NAME)
+    argv = [a.format(d=tmp_path) for a in argv]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append({p.name: _reproducible_bytes(p) for p in tmp_path.iterdir()})
+    capsys.readouterr()
+    assert any(name.endswith(".manifest.json") for name in runs[0])
+    assert runs[0] == runs[1]
+
+
+# The seeded argument fuzzer: each subcommand's quick valid argv with one
+# to three of its CLI_SURFACE inputs set to an edge value, or added when
+# they are flags. {d} is the test directory, which holds an array file
+# whose name has a comma. The 600 argvs take about 0.5 s in all.
+FUZZ_EDGES = ("0", "-1", "nan", "inf", "-inf", "1e-400", str(2 ** 63), str(10 ** 20),
+              "", "x", "{d}/a,b.json")
+FUZZ_HUGE = {str(2 ** 63), str(10 ** 20)}
+# values that set the work done, baseline sizes included, get no huge edge:
+# that would run or allocate without bound (ROADMAP item 6); so does
+# --max-aperture under --force
+FUZZ_WORK = {"--trials", "--snapshots", "--grid-size", "--coupling-q", "--samples", "--order",
+             "--max-order", "spec", "--baseline", "--baselines"}
+FUZZ_SPECS = {"spec", "--baseline", "--baselines"}
+FUZZ_BASE = {
+    "analyze": {"array": "{d}/g.json", "--samples": "16"},
+    "expand": {"generators": "{d}/g.json", "--order": "2"},
+    "baseline": {"spec": "nested:2,3"},
+    "search": {"--max-aperture": "8"},
+    "simulate": {"--baseline": "mra:4", "--sources": "1", "--snapshots": "20", "--trials": "2",
+                 "--grid-size": "64", "--sweep": "snr", "--grid": "0"},
+    "compare": {"--baselines": "ula:4"},
+}
+FUZZ_PER_SUBCOMMAND = 100
+
+
+def _fuzz_argvs(sub, count):
+    actions = _surface_actions()[sub]
+    surface = sorted(CLI_SURFACE[sub])
+    rng = random.Random(f"fracarray-fuzz:{sub}")
+    for _ in range(count):
+        opts = dict(FUZZ_BASE[sub])
+        chosen = rng.sample(surface, rng.randint(1, min(3, len(surface))))
+        work = FUZZ_WORK | ({"--max-aperture"} if "--force" in chosen else set())
+        for name in chosen:
+            action = actions[name]
+            if action.nargs == 0:
+                opts[rng.choice(action.option_strings)] = None
+                continue
+            edge = rng.choice([e for e in FUZZ_EDGES if name not in work or e not in FUZZ_HUGE])
+            opts[name] = f"{rng.choice(list(_BUILDERS))}:{edge}" if name in FUZZ_SPECS else edge
+        yield ([sub] + [v for k, v in opts.items() if not k.startswith("-")]
+               + [k if v is None else f"{k}={v}" for k, v in opts.items() if k.startswith("-")])
+
+
+@pytest.mark.parametrize("sub", CLI_SURFACE)
+def test_fuzzed_arguments_exit_cleanly(sub, tmp_path, monkeypatch, capsys):
+    _write(tmp_path / "g.json", (0, 1, 4, 6))
+    _write(tmp_path / "a,b.json", (0, 1, 3))
+    # relative output paths land in the test directory
+    monkeypatch.chdir(tmp_path)
+    for argv in _fuzz_argvs(sub, FUZZ_PER_SUBCOMMAND):
+        argv = [a.format(d=tmp_path) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)

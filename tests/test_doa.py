@@ -119,6 +119,10 @@ def test_equally_spaced_thetas():
     assert equally_spaced_thetas(1) == (0.0,)
     with pytest.raises(ValueError):
         equally_spaced_thetas(0)
+    # numpy's linspace raised IndexError on a count from 2^63 on
+    for k in (2 ** 63, 10 ** 20):
+        with pytest.raises(ValueError, match="does not fit a 64-bit integer"):
+            equally_spaced_thetas(k)
 
 
 def test_synthesize_shapes_and_determinism():

@@ -156,7 +156,8 @@ def test_symmetric_search_returns_symmetric_minimum():
     assert res.optimum_size == 11
     assert tuple(a.elements for a in res.optimum) == (S_ELEMS,)
     assert res.pruned > 0
-    assert res.wall_time >= 0.0
+    # the result holds only what the constraints decide, so a rerun equals it
+    assert solve_p1(cons) == res
 
 
 def test_aperture_guard():
