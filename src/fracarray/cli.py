@@ -308,6 +308,13 @@ def _cmd_simulate(args, argv):
                                "above 0 or --sweep coupling")
     array = load_array(args.array) if args.array else _parse_baseline_token(args.baseline)
     lo, hi = _parse_range(args.range)
+    # a trial's survivors are a subset of the array, so no trial's central
+    # coarray ULA is wider than the array's: from this many sources on,
+    # every trial fails identifiability
+    limit = difference_coarray(array).central_ula_halfwidth + 1
+    if args.sources >= limit:
+        raise ArrayFormatError(f"--sources {args.sources} must be below {limit}: no trial on "
+                               f"this array can identify more than {limit - 1} sources")
     thetas = equally_spaced_thetas(args.sources, lo, hi)
     axis = {"coupling": "coupling_c1_mag", "failure": "failure_probability",
             "snr": "snr_db"}[args.sweep]

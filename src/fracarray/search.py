@@ -19,6 +19,14 @@ one AND-shift per shorter lag. The kept masks of consecutive blocks of one
 and then fragility, all exact. Fragility is a running cut: lags from the
 longest add their essential sensors, and a mask leaves as soon as it holds
 too many. The optima are decoded from their masks.
+
+The reflection e -> span - e keeps a candidate's span, size and coarray
+counts, so every rule decides a candidate and its mirror image alike. A
+non-symmetric family whose outer positions are t + t bits (span >= 13)
+tabulates one pattern of each reflected pair, and keeps a pattern that is
+its own reflection, so it builds a candidate or its mirror image, as
+exhaustive Golomb-ruler search does; the optima are decoded with their
+reflections.
 """
 
 import functools
@@ -33,10 +41,10 @@ from .core import SensorArray, difference_coarray, is_symmetric
 from .coupling import (CouplingModel, leakage_from_counts, leakage_from_profile,
                        smallest_size_within)
 
-# with the default rules A=28 takes about 0.05 s on a 2-core VM and A=29
-# about 0.27 s. The outer cuts depend on the rules: at A=28 the infeasible
-# --max-leakage 0.25 query builds 18.9M candidates in about 3 s (and the
-# infeasible --no-hole-free --max-fragility 1/10 one 3.3M in about 0.35 s);
+# with the default rules A=28 takes about 0.035 s on a 2-core VM and A=29
+# about 0.15 s. The outer cuts depend on the rules: at A=28 the infeasible
+# --max-leakage 0.25 query builds 9.5M candidates in about 1.6 s (and the
+# infeasible --no-hole-free --max-fragility 1/10 one 1.7M in about 0.16 s);
 # the guard moves only when a measurement justifies it
 APERTURE_GUARD = 28
 
@@ -130,7 +138,9 @@ class SearchResult:
     outer positions that leave one of the _OUTER longest lags without a
     pair; under every rule set, outer positions that already make more
     sensors essential than the fragility rule allows, or whose own pairs
-    already hold more coupling leakage than the rule allows for the size.
+    already hold more coupling leakage than the rule allows for the size;
+    and, at a non-symmetric span of 13 or more, mirror images of candidates
+    that are built, which the rules decide alike.
     by_size holds (k, explored, pruned, complete) for each size tried;
     explored + pruned is the number of candidates of that size, and
     complete counts the explored ones that reach the leakage rule: the
@@ -153,6 +163,9 @@ MAX_SPAN = 63
 BLOCK = 1 << 13
 _LOW_BITS = 13
 _OUTER = _LOW_BITS // 2
+# _REVERSED[b] is the _OUTER-bit mask b with its bits in reverse order
+_REVERSED = np.array([int(f"{b:0{_OUTER}b}"[::-1], 2) for b in range(1 << _OUTER)],
+                     dtype=np.uint64)
 
 
 @functools.cache
@@ -240,6 +253,13 @@ def _outer_table(span, fixed, bits, symmetric, cons):
     n_out = left if symmetric else min(2 * t, bits)
     outer = np.concatenate(_popcount_groups()[:n_out + 1])
     outer = outer[outer < 1 << n_out]
+    if n_out == 2 * t:
+        # a non-symmetric band of t + t bits: the reflection e -> span - e
+        # makes a pattern's right bits, reversed, its left bits and keeps
+        # every count the rules read, so of each reflected pair only the
+        # pattern with the smaller left bits is kept; a pattern whose left
+        # bits tie is its own reflection
+        outer = outer[outer & ((1 << t) - 1) <= _REVERSED[outer >> t]]
     masks = (np.uint64(fixed) | _place(outer & ((1 << left) - 1), 1, span, symmetric)
              | (outer >> left) << (span - n_out + left))
     for d in range(max(1, span - t), span) if cons.require_hole_free else ():
@@ -318,14 +338,19 @@ def _fragility_cut(masks, span, k, bound):
 
 
 def _optima(masks, k):
-    """The element lists of size-k masks, in lexicographic order: row i of
-    the little-endian bit matrix holds bit e of mask i in column e, and its
-    nonzero columns are mask i's elements, ascending."""
+    """The element lists of size-k masks and of their reflections, without
+    duplicates, in lexicographic order: row i of the little-endian bit
+    matrix holds bit e of mask i in column e, and its nonzero columns are
+    mask i's elements, ascending. A row reflects about its own span."""
     bits = np.unpackbits(np.asarray(masks, dtype="<u8").view(np.uint8).reshape(-1, 8),
                          axis=1, bitorder="little")
     elems = np.nonzero(bits)[1].reshape(-1, k)
-    # lexsort's last key is the primary one
-    return elems[np.lexsort(elems.T[::-1])].tolist()
+    elems = np.concatenate([elems, elems[:, -1:] - elems[:, ::-1]])
+    # lexsort's last key is the primary one; equal rows end up adjacent
+    elems = elems[np.lexsort(elems.T[::-1])]
+    new = np.ones(len(elems), dtype=bool)
+    new[1:] = (elems[1:] != elems[:-1]).any(axis=1)
+    return elems[new].tolist()
 
 
 def _hole_free(masks, lags):

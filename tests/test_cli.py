@@ -487,7 +487,7 @@ def test_search_rejects_aperture_beyond_a_mask(capsys):
 # them, the counts of the outside-in build with its outer fragility and
 # leakage cut
 SEARCH_20_GOLDEN = """\
-minimum size 10, 2 solution(s), explored 2744, pruned 167022, X.XXs
+minimum size 10, 2 solution(s), explored 1387, pruned 168379, X.XXs
   0 1 2 3 7 9 15 17 19 20
   0 1 3 5 11 13 17 18 19 20
 """
@@ -605,13 +605,34 @@ def test_simulate_infinite_snr_is_noiseless(capsys):
 
 
 def test_simulate_total_failure_exit_code(tmp_path, capsys):
-    rc = main(["simulate", "--baseline", "nested:4,4", "--sources", "20",
+    # nested:4,4 has central coarray halfwidth 19, so 19 sources pass the
+    # source check, and a trial that loses an essential sensor fails
+    rc = main(["simulate", "--baseline", "nested:4,4", "--sources", "19",
                "--snapshots", "50", "--trials", "2", "--grid-size", "1024",
-               "--sweep", "failure", "--grid", "0"])
+               "--sweep", "failure", "--grid", "0.5"])
     assert rc == 1
     out, err = capsys.readouterr()
     assert "every trial failed" in err
     assert ",,0,2" in out  # empty rmse cell
+
+
+@pytest.mark.parametrize("spec,sources,limit", [
+    ("nested:4,4", "20", 20),
+    ("mra:4", "7", 7),
+    ("mra:4", "1000000", 7),
+    ("ula:1", "1", 1),
+])
+def test_simulate_sources_beyond_the_coarray_exit_two(spec, sources, limit, tmp_path,
+                                                     monkeypatch, capsys):
+    # no trial's survivors identify more sources than the whole array's
+    # central coarray ULA allows, so the run stops before any theta is built
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--baseline", spec, "--sources", sources, "--trials", "2",
+            "--sweep", "failure", "--grid", "0", "--dump-trials", "t.jsonl"]
+    err = _exits_two_with_error(argv, capsys)
+    assert err == f"error: --sources {sources} must be below {limit}: no trial on this " \
+                  f"array can identify more than {limit - 1} sources\n"
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_simulate_source_choice_validation(capsys):

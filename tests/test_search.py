@@ -185,11 +185,12 @@ def _digest(res):
 # recorded from the per-candidate route the block kernel replaced. explored
 # and pruned are those of the outside-in build, which never builds a mask
 # whose outermost lags are uncovered, or whose outer positions already make
-# too many sensors essential or hold too much coupling for the size;
-# complete counts the hole-free masks among those built (every mask built
-# without the hole-free rule). The hole-free candidates of each size are
-# pinned through the kernel without rules, which builds every candidate
-# covering the outer lags
+# too many sensors essential or hold too much coupling for the size, and
+# builds one candidate of each reflected pair at a non-symmetric span of 13
+# or more; complete counts the hole-free masks among those built (every
+# mask built without the hole-free rule). The hole-free candidates of each
+# size are pinned through the kernel without rules, which builds every
+# candidate covering the outer lags, or its reflection
 G2 = (0, 1, 2, 3, 7, 9, 15, 17, 19, 20)
 
 # the outer tables with every rule but the hole-free one off: a pattern
@@ -197,11 +198,28 @@ G2 = (0, 1, 2, 3, 7, 9, 15, 17, 19, 20)
 # so it joins every size it fits
 _NO_RULES = functools.cache(functools.partial(
     search._outer_table, cons=DesignConstraints(max_aperture=1, max_fragility=1, max_leakage=1)))
-# the outer tables with every rule off: no pattern is filtered, so every
-# candidate is built
+# the outer tables with every rule off: no pattern is filtered but by the
+# mirror cut, so every candidate or its reflection is built
 _EVERY = functools.cache(functools.partial(
     search._outer_table, cons=DesignConstraints(max_aperture=1, require_hole_free=False,
                                                 max_fragility=1, max_leakage=1)))
+
+
+def _mirror(c):
+    """The reflection e -> span - e of a candidate's element tuple."""
+    return tuple(c[-1] - e for e in reversed(c))
+
+
+def _mask(c):
+    return sum(1 << e for e in c)
+
+
+def _reflect(masks, span):
+    """The masks of the reflections e -> span - e, one bit at a time."""
+    out = np.zeros_like(masks)
+    for e in range(span + 1):
+        out |= ((masks >> e) & 1) << (span - e)
+    return out
 
 
 def _complete(res):
@@ -223,16 +241,16 @@ def test_pinned_symmetric_aperture_20():
 
 def test_pinned_aperture_20():
     res = solve_p1(DesignConstraints(max_aperture=20))
-    assert _outcome(res) == (10, (G2, G_ELEMS), 2_744, 167_022)
-    assert _complete(res) == [0] * 8 + [8, 1_464]
-    assert _hole_free_counts(20, res) == [0] * 7 + [150, 4_064, 19_107]
+    assert _outcome(res) == (10, (G2, G_ELEMS), 1_387, 168_379)
+    assert _complete(res) == [0] * 8 + [4, 737]
+    assert _hole_free_counts(20, res) == [0] * 7 + [75, 2_033, 9_582]
 
 
 def test_pinned_aperture_22():
     res = solve_p1(DesignConstraints(max_aperture=22))
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (11, 156, 17_636, 678_224)
-    assert _complete(res) == [0] * 9 + [1_022, 9_752]
-    assert _hole_free_counts(22, res) == [0] * 7 + [18, 2_558, 25_308, 84_768]
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (11, 156, 8_888, 686_972)
+    assert _complete(res) == [0] * 9 + [513, 4_897]
+    assert _hole_free_counts(22, res) == [0] * 7 + [9, 1_279, 12_679, 42_522]
     assert res.optimum[0].elements == (0, 1, 2, 3, 4, 6, 8, 10, 17, 21, 22)
     assert res.optimum[-1].elements == (0, 2, 5, 7, 11, 12, 18, 19, 20, 21, 22)
     assert _digest(res) == "90624447d17165247b736af03213a70c077d1d54fae289e997930aa5c0acf187"
@@ -242,8 +260,8 @@ def test_pinned_aperture_22_without_the_hole_free_rule():
     # the outer cuts apply under every rule set: every pattern that joins a
     # size here already fits its fragility bound and leakage cap
     res = solve_p1(DesignConstraints(max_aperture=22, require_hole_free=False))
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (8, 20, 1_638, 80_522)
-    assert _complete(res) == [0] * 6 + [543, 1_095]
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (8, 20, 1_355, 80_805)
+    assert _complete(res) == [0] * 6 + [483, 872]
     assert res.optimum[0].elements == (0, 2, 4, 6, 10, 14, 20, 22)
     assert res.optimum[-1].elements == (0, 6, 8, 10, 12, 14, 16, 22)
     assert _digest(res) == "27b82cb3f3ff9e24f1dc67ee96c802e196263ce10c34ba3d9809239ba0bc531e"
@@ -252,22 +270,22 @@ def test_pinned_aperture_22_without_the_hole_free_rule():
 def test_pinned_infeasible_aperture_28_without_the_hole_free_rule():
     # under fragility 1/10 no size below 20 admits the essential sensors of
     # any outer pattern; without the outer cuts this query built all 134M
-    # candidates
+    # candidates, and without the mirror cut 3.34M
     res = solve_p1(DesignConstraints(max_aperture=28, require_hole_free=False,
                                      max_fragility=Fraction(1, 10)))
-    assert _outcome(res) == (0, (), 3_338_384, 130_879_344)
-    assert _complete(res) == [0] * 19 + [1_700_900, 961_372, 443_097, 165_651, 52_181, 12_561,
-                                         2_296, 300, 25, 1]
+    assert _outcome(res) == (0, (), 1_736_928, 132_480_800)
+    assert _complete(res) == [0] * 19 + [881_681, 499_711, 231_156, 86_714, 28_797, 7_230,
+                                         1_413, 205, 20, 1]
     assert _digest(res) == hashlib.sha256(b"[]").hexdigest()
     assert res.message == "no feasible array within aperture 28"
 
 
 def test_pinned_infeasible_aperture_18():
     res = solve_p1(DesignConstraints(max_aperture=18, max_leakage=0.25))
-    assert _outcome(res) == (0, (), 80, 130_992)
-    assert _complete(res) == [0] * 11 + [20, 22, 38] + [0] * 5
-    assert _hole_free_counts(18, res) == [0] * 7 + [500, 4_140, 10_445, 14_655, 14_184, 10_208,
-                                                5_538, 2_246, 663, 135, 17, 1]
+    assert _outcome(res) == (0, (), 40, 131_032)
+    assert _complete(res) == [0] * 11 + [10, 11, 19] + [0] * 5
+    assert _hole_free_counts(18, res) == [0] * 7 + [250, 2_074, 5_242, 7_372, 7_151, 5_164,
+                                                2_817, 1_155, 349, 75, 11, 1]
     assert res.message == "no feasible array within aperture 18"
 
 
@@ -275,9 +293,9 @@ def test_pinned_aperture_28():
     # the optima and their digest as the kernel without the outer fragility
     # cut found them
     res = solve_p1(DesignConstraints(max_aperture=28))
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (12, 4, 269_505,
-                                                                              16_359_304)
-    assert _complete(res) == [0] * 9 + [8, 4_540, 79_554]
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (12, 4, 135_941,
+                                                                              16_492_868)
+    assert _complete(res) == [0] * 9 + [4, 2_275, 39_957]
     assert res.optimum[0].elements == (0, 1, 2, 3, 7, 9, 13, 19, 23, 24, 27, 28)
     assert res.optimum[-1].elements == (0, 1, 4, 5, 9, 15, 19, 21, 25, 26, 27, 28)
     assert _digest(res) == "33eb794d7c3c0c475b90b87d0e84bd41e5eacced6cd6ec55b4c06ba3e7c1481e"
@@ -285,9 +303,9 @@ def test_pinned_aperture_28():
 
 def test_pinned_forced_aperture_29():
     res = solve_p1(DesignConstraints(max_aperture=29), force=True)
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (13, 4_280, 1_164_161,
-                                                                              45_131_352)
-    assert _complete(res) == [0] * 9 + [4, 3_296, 77_558, 506_658]
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (13, 4_280, 586_891,
+                                                                              45_708_622)
+    assert _complete(res) == [0] * 9 + [2, 1_653, 38_987, 254_750]
     assert res.optimum[0].elements == (0, 1, 2, 3, 4, 5, 6, 13, 15, 20, 23, 27, 29)
     assert res.optimum[-1].elements == (0, 2, 6, 9, 14, 16, 23, 24, 25, 26, 27, 28, 29)
     assert _digest(res) == "071b4a77cbc5c4de346a216a48491582be1f4d3ae7b87339dc98a4cc7ff4026a"
@@ -378,14 +396,24 @@ def _outer_essential(c):
     return [g for g in c if not outer <= oracle_differences([e for e in c if e != g])]
 
 
+def _left_bits(c):
+    """The sensors at 1 .. t (t = _OUTER) of candidate c, as the bits 0 .. t - 1."""
+    return sum(1 << (e - 1) for e in c if 1 <= e <= search._OUTER)
+
+
 def _built(c, bound, cons):
-    """Whether the kernel builds candidate c, with t = _OUTER: under the
-    hole-free rule every lag span - t .. span - 1 has a pair; at most bound
-    sensors are essential to one of lags span - t .. span; and, under a
-    leakage rule, the sensors at most t from an end (with a symmetric
-    family's centre) hold pairs whose leakage at size len(c) stays within
-    the cap and its margin."""
+    """Whether the kernel builds candidate c, with t = _OUTER: at a
+    non-symmetric span of 2t + 1 or more, its sensors at 1 .. t, read as
+    bits, are at most those of its reflection; under the hole-free rule
+    every lag span - t .. span - 1 has a pair; at most bound sensors are
+    essential to one of lags span - t .. span; and, under a leakage rule,
+    the sensors at most t from an end (with a symmetric family's centre)
+    hold pairs whose leakage at size len(c) stays within the cap and its
+    margin."""
     span, t = c[-1], search._OUTER
+    if (not cons.require_symmetric and span > 2 * t
+            and _left_bits(c) > _left_bits(_mirror(c))):
+        return False
     if cons.require_hole_free and not set(range(max(1, span - t), span)) <= oracle_differences(c):
         return False
     if len(_outer_essential(c)) > bound:
@@ -470,9 +498,9 @@ def test_results_do_not_depend_on_the_block_size(kw, monkeypatch):
 
 
 def test_candidate_blocks_are_bounded_and_complete(monkeypatch):
-    # every rule off yields every candidate; with the outer prune on, the
-    # joined outer x inner blocks keep the same bound ((18, 8) and (26, 12)
-    # keep 2,161 and 134 masks under the hole-free rule)
+    # every rule off yields every candidate or its reflection; with the outer
+    # prune on, the joined outer x inner blocks keep the same bound ((18, 8)
+    # and (26, 12) keep 1,083 and 134 masks under the hole-free rule)
     monkeypatch.setattr(search, "BLOCK", 7)
     for span, k, sym in [(16, 5, False), (27, 3, False), (63, 4, False), (20, 7, True),
                          (19, 4, True), (18, 8, False), (26, 12, True)]:
@@ -481,9 +509,33 @@ def test_candidate_blocks_are_bounded_and_complete(monkeypatch):
             masks = np.concatenate(blocks or [np.zeros(0, dtype=np.uint64)])
             assert max((b.size for b in blocks), default=0) <= 7
             assert masks.size == np.unique(masks).size
-            assert table is _NO_RULES or masks.size == search._count_candidates(span, k, sym)
+            every = np.union1d(masks, _reflect(masks, span))
+            assert table is _NO_RULES or every.size == search._count_candidates(span, k, sym)
             assert (np.bitwise_count(masks) == k).all()
             assert ((masks & 1) == 1).all() and ((masks >> span) == 1).all()
+
+
+def test_mirror_cut_builds_one_candidate_of_each_reflected_pair():
+    # every rule off, at each non-symmetric span 13..20 (whose outer band is
+    # t + t bits) and each size: the built masks and their reflections are
+    # every candidate, and a mask is built with its reflection only when its
+    # outer band equals its reflection's, a tie that keeps both
+    t = search._OUTER
+    for span in range(13, 21):
+        every = np.arange(1 << (span - 1), dtype=np.uint64) << 1 | 1 | 1 << span
+        for k in range(2, span + 2):
+            blocks = list(search._candidate_blocks(span, k, False, _EVERY))
+            built = np.concatenate(blocks or [np.zeros(0, dtype=np.uint64)])
+            mirror = _reflect(built, span)
+            assert built.size == np.unique(built).size
+            want = every[np.bitwise_count(every) == k]
+            assert np.union1d(built, mirror).tolist() == want.tolist(), (span, k)
+            # the sensors at 1 .. t decide the band: the reflection's are
+            # the ones at span - t .. span - 1, reversed
+            both = np.intersect1d(built, mirror)
+            left = (1 << t + 1) - 2
+            assert ((both & left) == (_reflect(both, span) & left)).all(), (span, k)
+            assert built.size < search._count_candidates(span, k, False) or k in (2, span + 1)
 
 
 @functools.cache
@@ -506,7 +558,9 @@ def test_outer_prune_drops_exactly_the_candidates_missing_a_long_lag(symmetric):
             blocks = list(search._candidate_blocks(span, k, symmetric, _NO_RULES))
             built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
             covered = [c for c in cands if longest <= oracle_differences(c)]
-            assert sorted(built) == covered, (span, k)
+            # a covered candidate is skipped only when its reflection is built
+            assert len(built) == len(set(built))
+            assert sorted(set(built) | set(map(_mirror, built))) == covered, (span, k)
             for c in set(cands) - set(covered):
                 assert not difference_coarray(SensorArray(c)).hole_free, c
 
@@ -515,9 +569,9 @@ def test_outer_prune_drops_exactly_the_candidates_missing_a_long_lag(symmetric):
 def test_outer_fragility_cut_skips_only_infeasible_candidates(symmetric):
     # for every bound b = 0..k, under the fragility rule (2b + 1) / 2k (or
     # 1 at b = k), whose floor(f k) is b: each candidate the kernel skips
-    # leaves one of lags span - t .. span - 1 without a pair, or has more
-    # than b essential sensors by the removal definition; each one built is
-    # built once
+    # has its reflection built, leaves one of lags span - t .. span - 1
+    # without a pair, or has more than b essential sensors by the removal
+    # definition; each one built is built once
     t, cut = search._OUTER, 0
     for span in range(2, 17):
         longest = set(range(max(1, span - t), span))
@@ -533,11 +587,14 @@ def test_outer_fragility_cut_skips_only_infeasible_candidates(symmetric):
                 blocks = search._candidate_blocks(span, k, symmetric, table)
                 built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
                 assert len(built) == len(set(built)) and set(built) <= covered, (span, k, bound)
-                for c in covered - set(built):
+                built = set(built)
+                for c in covered - built:
+                    if _mirror(c) in built:
+                        continue
                     if c not in essential:
                         essential[c] = sum(oracle_essential(c))
                     assert essential[c] > bound, (c, bound)
-                cut += len(covered) - len(built)
+                    cut += 1
     assert cut > 0
 
 
@@ -564,11 +621,11 @@ CUT_RULES = [
 def test_outer_cut_skips_only_infeasible_candidates(symmetric, q, c1, max_leakage,
                                                     max_fragility):
     # against itertools, with and without the hole-free rule: each candidate
-    # the kernel skips under the rules' table leaves one of lags
-    # span - t .. span - 1 without a pair (under the hole-free rule only),
-    # has more sensors essential to its lags among span - t .. span than the
-    # fragility rule allows, or fails check_constraints' leakage rule; each
-    # one built is built once
+    # the kernel skips under the rules' table has its reflection built,
+    # leaves one of lags span - t .. span - 1 without a pair (under the
+    # hole-free rule only), has more sensors essential to its lags among
+    # span - t .. span than the fragility rule allows, or fails
+    # check_constraints' leakage rule; each one built is built once
     t, by_leakage = search._OUTER, 0
     for span, hole_free in itertools.product(range(2, 17), (True, False)):
         cons = DesignConstraints(max_aperture=span, require_symmetric=symmetric,
@@ -582,8 +639,11 @@ def test_outer_cut_skips_only_infeasible_candidates(symmetric, q, c1, max_leakag
             blocks = search._candidate_blocks(span, k, symmetric, table)
             built = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
             assert len(built) == len(set(built)) and set(built) <= set(cands), (span, k)
+            built = set(built)
             bound = max_fragility.numerator * k // max_fragility.denominator
-            for c in set(cands) - set(built):
+            for c in set(cands) - built:
+                if _mirror(c) in built:
+                    continue
                 if hole_free and not longest <= _differences(c):
                     continue
                 # check_constraints' leakage rule, without its other metrics
@@ -597,8 +657,9 @@ def test_outer_cut_skips_only_infeasible_candidates(symmetric, q, c1, max_leakag
 def test_leakage_margin_keeps_an_array_at_its_own_leakage():
     # at span <= 13 every free bit is outer, so an outer pattern's leakage
     # is its array's own: a cap equal to it keeps the array, one ulp lower
-    # the margin still builds it and the leaf drops it, and a cap lower by
-    # more than the margin cuts it before it is built
+    # the margin still builds it (or, under the mirror cut, its reflection)
+    # and the leaf drops it, and a cap lower by more than the margin cuts
+    # both before they are built
     model = DesignConstraints(max_aperture=13).coupling
     for span, symmetric in ((13, False), (12, False), (12, True)):
         rulers = solve_p1(DesignConstraints(max_aperture=span, require_symmetric=symmetric,
@@ -613,8 +674,8 @@ def test_leakage_margin_keeps_an_array_at_its_own_leakage():
             assert (best in solve_p1(cons).optimum) is kept, (span, cap)
             table = functools.partial(search._outer_table, cons=cons)
             blocks = search._candidate_blocks(span, len(best.elements), symmetric, table)
-            masks = [oracle_elements(m, span) for b in blocks for m in b.tolist()]
-            assert (best.elements in masks) is built, (span, cap)
+            masks = {oracle_elements(m, span) for b in blocks for m in b.tolist()}
+            assert bool({best.elements, _mirror(best.elements)} & masks) is built, (span, cap)
 
 
 PINNED_QUERIES = [
@@ -688,19 +749,28 @@ def test_a_cap_whose_square_underflows_is_decided_without_warnings():
     assert _outcome(res) == (0, (), 0, 2 ** 15)
     free = CouplingModel(c1_magnitude=0.0)
     res = solve_p1(DesignConstraints(max_aperture=16, max_leakage=1e-300, coupling=free))
-    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (10, 576, 1_376,
-                                                                              21_443)
+    assert (res.optimum_size, len(res.optimum), res.explored, res.pruned) == (10, 576, 694,
+                                                                              22_125)
     assert _outcome(res) == _outcome(solve_p1(DesignConstraints(max_aperture=16, coupling=free)))
 
 
 def test_optima_decode_equals_the_bit_walk():
+    # the optima are the bit-walk rows of the masks and their reflections,
+    # each once, in lexicographic order
     rng = np.random.default_rng(23)
     for span, k in ((0, 1), (5, 3), (22, 11), (63, 2), (63, 40)):
         inner = [rng.choice(np.arange(1, span), size=k - 2, replace=False) if k > 2 else ()
                  for _ in range(300)]
         masks = list({sum(1 << int(e) for e in {0, span, *row}) for row in inner})
+        rows = {oracle_elements(m, span) for m in masks}
         decoded = search._optima(masks, k)
-        assert decoded == [list(e) for e in sorted(oracle_elements(m, span) for m in masks)]
+        assert decoded == [list(c) for c in sorted(rows | set(map(_mirror, rows)))]
+    # a symmetric row is its own reflection, and a row found with its
+    # reflection (a tie of the mirror cut) gives each once
+    assert search._optima([_mask(S_ELEMS)], len(S_ELEMS)) == [list(S_ELEMS)]
+    pair = [G_ELEMS, _mirror(G_ELEMS)]
+    for found in ([_mask(G_ELEMS)], [_mask(c) for c in pair], [_mask(c) for c in pair[::-1]]):
+        assert search._optima(found, len(G_ELEMS)) == [list(c) for c in sorted(pair)]
     assert search._optima([], 4) == []
 
 
