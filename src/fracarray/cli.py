@@ -367,6 +367,8 @@ def _cmd_compare(args, argv):
     if not arrays:
         raise ArrayFormatError("give --arrays and/or --baselines")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics:
+        raise ArrayFormatError(f"--metrics names no metric; choose from {_COMPARE_METRICS}")
     for i, m in enumerate(metrics):
         if m not in _COMPARE_METRICS:
             raise ArrayFormatError(f"unknown metric {m!r}; choose from {_COMPARE_METRICS}")

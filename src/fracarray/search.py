@@ -22,11 +22,10 @@ too many. The optima are decoded from their masks.
 
 The reflection e -> span - e keeps a candidate's span, size and coarray
 counts, so every rule decides a candidate and its mirror image alike. A
-non-symmetric family whose outer positions are t + t bits (span >= 13)
-tabulates one pattern of each reflected pair, and keeps a pattern that is
-its own reflection, so it builds a candidate or its mirror image, as
-exhaustive Golomb-ruler search does; the optima are decoded with their
-reflections.
+non-symmetric family tabulates one outer pattern of each reflected pair,
+and keeps a pattern that is its own reflection, so it builds a candidate or
+its mirror image, as exhaustive Golomb-ruler search does; the optima are
+decoded with their reflections.
 """
 
 import functools
@@ -139,8 +138,8 @@ class SearchResult:
     pair; under every rule set, outer positions that already make more
     sensors essential than the fragility rule allows, or whose own pairs
     already hold more coupling leakage than the rule allows for the size;
-    and, at a non-symmetric span of 13 or more, mirror images of candidates
-    that are built, which the rules decide alike.
+    and, without the symmetry rule, mirror images of candidates that are
+    built, which the rules decide alike.
     by_size holds (k, explored, pruned, complete) for each size tried;
     explored + pruned is the number of candidates of that size, and
     complete counts the explored ones that reach the leakage rule: the
@@ -253,13 +252,13 @@ def _outer_table(span, fixed, bits, symmetric, cons):
     n_out = left if symmetric else min(2 * t, bits)
     outer = np.concatenate(_popcount_groups()[:n_out + 1])
     outer = outer[outer < 1 << n_out]
-    if n_out == 2 * t:
-        # a non-symmetric band of t + t bits: the reflection e -> span - e
-        # makes a pattern's right bits, reversed, its left bits and keeps
-        # every count the rules read, so of each reflected pair only the
-        # pattern with the smaller left bits is kept; a pattern whose left
-        # bits tie is its own reflection
-        outer = outer[outer & ((1 << t) - 1) <= _REVERSED[outer >> t]]
+    if not symmetric:
+        # bit j is the sensor at j + 1 or, past the left bits, at
+        # span - n_out + j, so the reflection e -> span - e reverses the
+        # n_out bits and keeps every count the rules read: of each pair only
+        # the smaller pattern is kept, and a palindrome is its own reflection
+        reverse = _REVERSED[outer & ((1 << t) - 1)] << t | _REVERSED[outer >> t]
+        outer = outer[outer <= reverse >> (2 * t - n_out)]
     masks = (np.uint64(fixed) | _place(outer & ((1 << left) - 1), 1, span, symmetric)
              | (outer >> left) << (span - n_out + left))
     for d in range(max(1, span - t), span) if cons.require_hole_free else ():

@@ -708,13 +708,19 @@ def test_compare_outputs(tmp_path, capsys):
     assert (tmp_path / "t.json.manifest.json").exists()
 
 
-def test_compare_validation(capsys):
+def test_compare_validation(capsys, tmp_path):
     assert main(["compare", "--baselines", "ula:5", "--metrics", "sparkle"]) == 2
     capsys.readouterr()
     # a row is a dict, so a repeated metric would give the JSON one column
     # and the table and CSV two
     assert main(["compare", "--baselines", "ula:3", "--metrics", "n,n"]) == 2
     assert capsys.readouterr().err == "error: metric 'n' is named twice\n"
+    # an empty list would print, and write, a table of names only
+    for empty in (",", "", " , "):
+        assert main(["compare", "--baselines", "ula:3", "--metrics", empty,
+                     "--csv", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: --metrics names no metric; choose from")
+    assert sorted(tmp_path.iterdir()) == []
     assert main(["compare", "--metrics", "n"]) == 2
     assert main(["compare", "--baselines", "ula-5"]) == 2
 

@@ -125,9 +125,20 @@ MIXES = [
     dict(max_aperture=5, exact_aperture=False, require_symmetric=True,
          max_fragility=1, max_leakage=1),
 ]
+# non-symmetric rule sets the oracle meets at every span 1..12, where the
+# mirror cut keeps one of each reflected pair of whole candidates
+SMALL_SPAN_RULES = [
+    dict(),
+    dict(max_leakage=0.25),
+    dict(exact_aperture=False),
+    dict(max_fragility=Fraction(1, 2), max_leakage=0.5),
+    dict(require_hole_free=False, max_fragility=Fraction(1, 3)),
+    dict(exact_aperture=False, require_hole_free=False, max_fragility=1, max_leakage=1),
+]
 
 
-@pytest.mark.parametrize("kw", MIXES)
+@pytest.mark.parametrize("kw", MIXES + [dict(max_aperture=A, **rules)
+                                        for rules in SMALL_SPAN_RULES for A in range(1, 13)])
 def test_pruned_route_equals_naive_route(kw):
     cons = DesignConstraints(**kw)
     fast = solve_p1(cons)
@@ -186,8 +197,8 @@ def _digest(res):
 # and pruned are those of the outside-in build, which never builds a mask
 # whose outermost lags are uncovered, or whose outer positions already make
 # too many sensors essential or hold too much coupling for the size, and
-# builds one candidate of each reflected pair at a non-symmetric span of 13
-# or more; complete counts the hole-free masks among those built (every
+# builds one candidate of each reflected pair at a non-symmetric span;
+# complete counts the hole-free masks among those built (every
 # mask built without the hole-free rule). The hole-free candidates of each
 # size are pinned through the kernel without rules, which builds every
 # candidate covering the outer lags, or its reflection
@@ -371,8 +382,10 @@ def test_leakage_cut_keeps_the_optima_of_wide_random_mixes(seed):
 
 def test_pools_split_inside_a_size_keep_the_random_mix_optima(monkeypatch):
     # tiny blocks make the leakage and fragility pass run on many pools per
-    # (span, k); a pool never outgrows one block, which bounds its temporaries
-    monkeypatch.setattr(search, "BLOCK", 4)
+    # (span, k); a pool never outgrows one block, which bounds its temporaries.
+    # With one candidate of each reflected pair built, no pool of these mixes
+    # splits at 4 masks, and five (seed, span, k) split at 2
+    monkeypatch.setattr(search, "BLOCK", 2)
     feasible, pools = search._feasible, []
 
     def spy(masks, span, k, cons):
@@ -396,23 +409,26 @@ def _outer_essential(c):
     return [g for g in c if not outer <= oracle_differences([e for e in c if e != g])]
 
 
-def _left_bits(c):
-    """The sensors at 1 .. t (t = _OUTER) of candidate c, as the bits 0 .. t - 1."""
-    return sum(1 << (e - 1) for e in c if 1 <= e <= search._OUTER)
+def _outer_bits(c):
+    """The sensors of candidate c at most t (t = _OUTER) from an end, read as
+    the kernel's n_out outer bits: e <= t is bit e - 1, and span - e <= t is
+    bit n_out - span + e, which is also e - 1 when every free bit is outer."""
+    span, t = c[-1], search._OUTER
+    n_out = min(2 * t, span - 1)
+    return sum(1 << (e - 1 if e <= t else n_out - span + e)
+               for e in c[1:-1] if min(e, span - e) <= t)
 
 
 def _built(c, bound, cons):
-    """Whether the kernel builds candidate c, with t = _OUTER: at a
-    non-symmetric span of 2t + 1 or more, its sensors at 1 .. t, read as
-    bits, are at most those of its reflection; under the hole-free rule
-    every lag span - t .. span - 1 has a pair; at most bound sensors are
-    essential to one of lags span - t .. span; and, under a leakage rule,
-    the sensors at most t from an end (with a symmetric family's centre)
-    hold pairs whose leakage at size len(c) stays within the cap and its
-    margin."""
+    """Whether the kernel builds candidate c, with t = _OUTER: without the
+    symmetry rule, its outer bits are at most those of its reflection; under
+    the hole-free rule every lag span - t .. span - 1 has a pair; at most
+    bound sensors are essential to one of lags span - t .. span; and, under
+    a leakage rule, the sensors at most t from an end (with a symmetric
+    family's centre) hold pairs whose leakage at size len(c) stays within
+    the cap and its margin."""
     span, t = c[-1], search._OUTER
-    if (not cons.require_symmetric and span > 2 * t
-            and _left_bits(c) > _left_bits(_mirror(c))):
+    if not cons.require_symmetric and _outer_bits(c) > _outer_bits(_mirror(c)):
         return False
     if cons.require_hole_free and not set(range(max(1, span - t), span)) <= oracle_differences(c):
         return False
@@ -467,16 +483,14 @@ def test_essential_counts_equal_economy_at_span_12():
     # the removal definition, is at most the bound, for every bound 0..k
     span, checked, hole_free = 12, 0, 0
     for k in range(2, span + 2):
-        for masks in search._candidate_blocks(span, k, False, _EVERY):
-            counts = {}
-            for mask in masks.tolist():
-                elems = oracle_elements(mask, span)
-                counts[mask] = sum(oracle_essential(elems))
-                checked += 1
-                hole_free += difference_coarray(SensorArray(elems)).hole_free
-            for bound in range(k + 1):
-                kept = search._fragility_cut(masks, span, k, bound).tolist()
-                assert kept == [m for m in masks.tolist() if counts[m] <= bound], (k, bound)
+        cands = _spanning(span, k, False)
+        masks = np.array([_mask(c) for c in cands], dtype=np.uint64)
+        counts = [sum(oracle_essential(c)) for c in cands]
+        checked += len(cands)
+        hole_free += sum(difference_coarray(SensorArray(c)).hole_free for c in cands)
+        for bound in range(k + 1):
+            kept = search._fragility_cut(masks, span, k, bound).tolist()
+            assert kept == [m for m, n in zip(masks.tolist(), counts) if n <= bound], (k, bound)
     assert checked == 2 ** (span - 1)
     assert hole_free > 100
     # the single sensor is essential, and span 0 has no lag to walk
@@ -516,12 +530,14 @@ def test_candidate_blocks_are_bounded_and_complete(monkeypatch):
 
 
 def test_mirror_cut_builds_one_candidate_of_each_reflected_pair():
-    # every rule off, at each non-symmetric span 13..20 (whose outer band is
-    # t + t bits) and each size: the built masks and their reflections are
-    # every candidate, and a mask is built with its reflection only when its
-    # outer band equals its reflection's, a tie that keeps both
+    # every rule off, at each non-symmetric span 2..20 and each size: the
+    # built masks and their reflections are every candidate, and a mask is
+    # built with its reflection only when its outer band, the sensors at
+    # most t from an end, equals its reflection's, a tie that keeps both;
+    # up to span 13 the band is every free sensor, so a tie is a palindrome
     t = search._OUTER
-    for span in range(13, 21):
+    for span in range(2, 21):
+        band = sum(1 << e for e in range(1, span) if min(e, span - e) <= t)
         every = np.arange(1 << (span - 1), dtype=np.uint64) << 1 | 1 | 1 << span
         for k in range(2, span + 2):
             blocks = list(search._candidate_blocks(span, k, False, _EVERY))
@@ -530,12 +546,10 @@ def test_mirror_cut_builds_one_candidate_of_each_reflected_pair():
             assert built.size == np.unique(built).size
             want = every[np.bitwise_count(every) == k]
             assert np.union1d(built, mirror).tolist() == want.tolist(), (span, k)
-            # the sensors at 1 .. t decide the band: the reflection's are
-            # the ones at span - t .. span - 1, reversed
             both = np.intersect1d(built, mirror)
-            left = (1 << t + 1) - 2
-            assert ((both & left) == (_reflect(both, span) & left)).all(), (span, k)
-            assert built.size < search._count_candidates(span, k, False) or k in (2, span + 1)
+            assert ((both & band) == (_reflect(both, span) & band)).all(), (span, k)
+            # fewer than all are built unless every candidate is a palindrome
+            assert (built.size < want.size) != (want == _reflect(want, span)).all(), (span, k)
 
 
 @functools.cache
