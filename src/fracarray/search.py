@@ -16,9 +16,13 @@ from kmin on. Under the hole-free rule only patterns covering lags
 span - t .. span - 1 join, and each block keeps its complete rulers, with
 one AND-shift per shorter lag. The kept masks of consecutive blocks of one
 (span, k) are pooled, up to BLOCK masks, and each pool goes through leakage
-and then fragility, all exact. Fragility is a running cut: lags from the
-longest add their essential sensors, and a mask leaves as soon as it holds
-too many. The optima are decoded from their masks.
+and then fragility, all exact; a rule set to 1 passes every mask and makes
+no pass. Fragility is a running cut: lags from the longest add their
+essential sensors, and a mask leaves as soon as it holds too many. The
+outer table already holds each pattern's essential sensors at lags
+span - t .. span, and one family builds each (span, k), so the cut starts
+from the set its pattern holds, at lag span - t - 1. The optima are decoded
+from their masks.
 
 The reflection e -> span - e keeps a candidate's span, size and coarray
 counts, so every rule decides a candidate and its mirror image alike. A
@@ -40,11 +44,11 @@ from .core import SensorArray, difference_coarray, is_symmetric
 from .coupling import (CouplingModel, leakage_from_counts, leakage_from_profile,
                        smallest_size_within)
 
-# with the default rules A=28 takes about 0.035 s on a 2-core VM and A=29
-# about 0.15 s. The outer cuts depend on the rules: at A=28 the infeasible
-# --max-leakage 0.25 query builds 9.5M candidates in about 1.6 s (and the
-# infeasible --no-hole-free --max-fragility 1/10 one 1.7M in about 0.16 s);
-# the guard moves only when a measurement justifies it
+# with the default rules A=28 takes 0.015-0.024 s in process on a 2-core
+# shared VM and A=29 0.10-0.16 s. The outer cuts depend on the rules: at
+# A=28 the infeasible --max-leakage 0.25 query builds 9.5M candidates in
+# about 1.2 s (and the infeasible --no-hole-free --max-fragility 1/10 one
+# 1.7M in about 0.16 s); the guard moves only when a measurement justifies it
 APERTURE_GUARD = 28
 
 
@@ -142,8 +146,8 @@ class SearchResult:
     built, which the rules decide alike.
     by_size holds (k, explored, pruned, complete) for each size tried;
     explored + pruned is the number of candidates of that size, and
-    complete counts the explored ones that reach the leakage rule: the
-    hole-free ones, or every one explored when the hole-free rule is off.
+    complete counts the hole-free ones among those explored, or every one
+    explored when the hole-free rule is off.
     """
 
     optimum: tuple
@@ -232,10 +236,12 @@ LEAKAGE_MARGIN = 1e-9
 
 
 def _outer_table(span, fixed, bits, symmetric, cons):
-    """(left, n_out, by_popcount) for one (span, fixed, bits) family shape:
-    by_popcount[h] holds (masks, kmin) for the n_out-bit outer patterns of
-    popcount h (under the hole-free rule, those covering lags span - t ..
-    span - 1), kmin being the smallest size at which one may pass cons.
+    """(left, n_out, by_popcount, seed) for one (span, fixed, bits) family
+    shape: by_popcount[h] holds (masks, kmin) for the n_out-bit outer
+    patterns of popcount h (under the hole-free rule, those covering lags
+    span - t .. span - 1), kmin being the smallest size at which one may
+    pass cons, and seed[p] holds the sensors essential to lags
+    span - t .. span in kept pattern p's mask (0 for a pattern not kept).
 
     A pattern's low left bits are the sensors from 1 (and their mirrors), its
     other bits those ending at span - 1. With t = _OUTER, a pair at lag
@@ -246,7 +252,9 @@ def _outer_table(span, fixed, bits, symmetric, cons):
     candidate holding the pattern keeps those sensors essential and holds its
     pairs, whose leakage at a fixed size only grows with more pairs, so kmin
     is the first size whose _essential_bound admits them and at which, under
-    a leakage rule, the pairs leak at most max_leakage * (1 + LEAKAGE_MARGIN)."""
+    a leakage rule, the pairs leak at most max_leakage * (1 + LEAKAGE_MARGIN).
+    The same sensors are essential to those lags in every candidate holding
+    the pattern, so the leaf's fragility cut starts from seed."""
     t = _OUTER
     left = min(t, bits)
     n_out = left if symmetric else min(2 * t, bits)
@@ -266,7 +274,7 @@ def _outer_table(span, fixed, bits, symmetric, cons):
         outer, masks = outer[covered], masks[covered]
     ess = np.zeros_like(masks)
     for d in range(max(1, span - t), span + 1):
-        _mark_essential(ess, masks, d)
+        _mark_essential(ess, masks, d, span)
     # no candidate holds more than span + 1 sensors, so larger sizes clip
     bounds = [_essential_bound(cons, n) for n in range(span + 2)]
     kmin = np.searchsorted(bounds, np.bitwise_count(ess))
@@ -276,7 +284,9 @@ def _outer_table(span, fixed, bits, symmetric, cons):
             pairs, cons.max_leakage * (1 + LEAKAGE_MARGIN), cons.coupling.c1_magnitude, span + 1))
     # the table runs in popcount order, so each popcount is one slice
     edges = np.searchsorted(np.bitwise_count(outer), np.arange(n_out + 2)).tolist()
-    return left, n_out, [(masks[a:b], kmin[a:b]) for a, b in zip(edges, edges[1:])]
+    seed = np.zeros(1 << n_out, dtype=np.uint64)
+    seed[outer] = ess
+    return left, n_out, [(masks[a:b], kmin[a:b]) for a, b in zip(edges, edges[1:])], seed
 
 
 def _candidate_blocks(span, k, symmetric, outer_table):
@@ -289,7 +299,7 @@ def _candidate_blocks(span, k, symmetric, outer_table):
     the n_in bits from 1 + left, of the remaining popcount. Under rules that
     are all off, the hole-free one included, every candidate is yielded."""
     for fixed, bits, count in _families(span, k, symmetric):
-        left, n_out, by_popcount = outer_table(span, fixed, bits, symmetric)
+        left, n_out, by_popcount, _ = outer_table(span, fixed, bits, symmetric)
         n_in = bits - n_out
         for h in range(max(0, count - n_in), min(n_out, count) + 1):
             masks, kmin = by_popcount[h]
@@ -310,26 +320,35 @@ def _lag_pairs(masks, lags):
     return pairs
 
 
-def _mark_essential(ess, masks, d):
-    """Add to ess the sensors that lag d makes essential in each mask: the
-    ends of its pair at weight 1 and the middle of g - d, g, g + d at
-    weight 2, the rule analysis.economy reads from its pair pass."""
+def _mark_essential(ess, masks, d, span):
+    """Add to ess the sensors that lag d makes essential in each mask of the
+    given span: the ends of its pair at weight 1 and the middle of
+    g - d, g, g + d at weight 2, the rule analysis.economy reads from its
+    pair pass. A middle needs g - d >= 0 and g + d <= span, so it is looked
+    for only when 2d <= span."""
     pairs = masks & (masks >> d)  # bit i: sensors at i and i + d
     w = np.bitwise_count(pairs)
     ess |= np.where(w == 1, pairs | (pairs << d), 0)
-    ess |= np.where(w == 2, (pairs & (pairs >> d)) << d, 0)
+    if 2 * d <= span:
+        ess |= np.where(w == 2, (pairs & (pairs >> d)) << d, 0)
 
 
-def _fragility_cut(masks, span, k, bound):
+def _fragility_cut(masks, span, k, bound, seed=None):
     """The size-k masks with at most bound essential sensors, by
     _mark_essential at every lag. A single sensor counts as essential. Lags
     run from the longest, whose pairs are rarest; the essential set only
-    grows, so a mask leaves once it holds more than bound."""
+    grows, so a mask leaves once it holds more than bound. seed, when given,
+    holds each mask's essential sensors at lags span - t .. span
+    (t = _OUTER), and the cut starts at lag span - t - 1."""
     ess = masks.copy() if k == 1 else np.zeros_like(masks)
-    for d in range(span, 0, -1):
+    first = span
+    if seed is not None:
+        ess |= seed
+        first = span - _OUTER - 1
+    for d in range(first, 0, -1):
         if not masks.size:
             break
-        _mark_essential(ess, masks, d)
+        _mark_essential(ess, masks, d, span)
         keep = np.bitwise_count(ess) <= bound
         masks, ess = masks[keep], ess[keep]
     # the loop is empty for the single sensor, span 0
@@ -362,13 +381,35 @@ def _hole_free(masks, lags):
     return masks
 
 
-def _feasible(masks, span, k, cons):
+def _outer_seed(masks, span, k, symmetric, outer_table):
+    """Each size-k mask's essential sensors at lags span - t .. span, read
+    from outer_table by its outer pattern: bit j is the sensor at j + 1 or,
+    past the left bits, at span - n_out + j. The parity of k picks a
+    symmetric centre, so one family builds each (span, k)."""
+    (fixed, bits, _), = _families(span, k, symmetric)
+    left, n_out, _, ess = outer_table(span, fixed, bits, symmetric)
+    low = (1 << left) - 1
+    return ess[(masks >> 1) & low | (masks >> (span - n_out)) & ((1 << n_out) - 1 - low)]
+
+
+def _feasible(masks, span, k, cons, outer_table=None):
     """The masks of one pool that pass leakage, then fragility; the pool
-    holds only hole-free masks when that rule is on."""
-    # the leakage formula check_constraints uses, on the coupled lags
-    pairs = _lag_pairs(masks, min(cons.coupling.q, span))
-    masks = masks[leakage_from_counts(pairs, k, cons.coupling.c1_magnitude) <= cons.max_leakage]
-    return _fragility_cut(masks, span, k, _essential_bound(cons, k))
+    holds only hole-free masks when that rule is on. A rule set to 1 passes
+    every mask and makes no pass. With outer_table, the one the pool was
+    built from, the fragility cut starts from the essential sensors that
+    the table holds for each mask's outer pattern."""
+    if cons.max_leakage < 1:
+        # the leakage formula check_constraints uses, on the coupled lags
+        pairs = _lag_pairs(masks, min(cons.coupling.q, span))
+        masks = masks[leakage_from_counts(pairs, k, cons.coupling.c1_magnitude)
+                      <= cons.max_leakage]
+    bound = _essential_bound(cons, k)
+    # a mask holds k sensors, so at most k are essential
+    if bound >= k or not masks.size:
+        return masks
+    seed = None if outer_table is None else _outer_seed(masks, span, k, cons.require_symmetric,
+                                                         outer_table)
+    return _fragility_cut(masks, span, k, bound, seed)
 
 
 def _essential_bound(cons, k):
@@ -424,12 +465,12 @@ def solve_p1(constraints, force=False):
                     masks = _hole_free(masks, span - _OUTER - 1)
                 complete += masks.size
                 if held + masks.size > BLOCK:
-                    found += _feasible(np.concatenate(pool), span, k, cons).tolist()
+                    found += _feasible(np.concatenate(pool), span, k, cons, outer_table).tolist()
                     pool, held = [], 0
                 pool.append(masks)
                 held += masks.size
             if held:
-                found += _feasible(np.concatenate(pool), span, k, cons).tolist()
+                found += _feasible(np.concatenate(pool), span, k, cons, outer_table).tolist()
         by_size.append((k, explored, candidates - explored, complete))
         if found:
             sols, size = [SensorArray(e) for e in _optima(found, k)], k

@@ -188,6 +188,28 @@ def oracle_solve_p1(cons):
     return 0, ()
 
 
+def oracle_lag_essential(masks, d):
+    """The sensors lag d makes essential in each uint64 search mask: both
+    ends of the lag's only pair, or the shared middle g of its two pairs
+    g - d, g, g + d; the middle is looked for at every lag."""
+    pairs = masks & (masks >> d)
+    w = np.bitwise_count(pairs)
+    ends = np.where(w == 1, pairs | (pairs << d), 0)
+    middle = np.where(w == 2, (pairs & (pairs >> d)) << d, 0)
+    return ends | middle
+
+
+def oracle_fragility_cut(masks, span, k, bound):
+    """The size-k masks of one span with at most bound essential sensors:
+    the search's fragility cut with no seed, no early exit and no lag
+    skipped, every lag span .. 1 marked on every mask. A single sensor
+    counts as essential."""
+    ess = masks.copy() if k == 1 else np.zeros_like(masks)
+    for d in range(span, 0, -1):
+        ess |= oracle_lag_essential(masks, d)
+    return masks[np.bitwise_count(ess) <= bound]
+
+
 def oracle_leakage_size(pair_counts, cap, c1_magnitude, most):
     """The smallest n in 1..most at which each row's leakage is at most
     cap, or most + 1, by a scan: 1 + the number of sizes 1..most at which

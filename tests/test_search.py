@@ -28,6 +28,8 @@ from conftest import (
     oracle_differences,
     oracle_elements,
     oracle_essential,
+    oracle_fragility_cut,
+    oracle_lag_essential,
     oracle_smallest_sizes,
     oracle_solve_p1,
 )
@@ -388,9 +390,9 @@ def test_pools_split_inside_a_size_keep_the_random_mix_optima(monkeypatch):
     monkeypatch.setattr(search, "BLOCK", 2)
     feasible, pools = search._feasible, []
 
-    def spy(masks, span, k, cons):
+    def spy(masks, span, k, cons, outer_table):
         pools.append(((seed, span, k), masks.size))
-        return feasible(masks, span, k, cons)
+        return feasible(masks, span, k, cons, outer_table)
 
     monkeypatch.setattr(search, "_feasible", spy)
     for seed in range(24):
@@ -491,6 +493,7 @@ def test_essential_counts_equal_economy_at_span_12():
         for bound in range(k + 1):
             kept = search._fragility_cut(masks, span, k, bound).tolist()
             assert kept == [m for m, n in zip(masks.tolist(), counts) if n <= bound], (k, bound)
+            assert oracle_fragility_cut(masks, span, k, bound).tolist() == kept, (k, bound)
     assert checked == 2 ** (span - 1)
     assert hole_free > 100
     # the single sensor is essential, and span 0 has no lag to walk
@@ -743,16 +746,163 @@ def test_outer_table_kmin_equals_the_size_scan(kw):
     shapes = {(span, fixed, bits) for span in ([A] if cons.exact_aperture else range(A + 1))
               for k in range(1, span + 2) for fixed, bits, _ in search._families(span, k, symmetric)}
     for span, fixed, bits in shapes:
-        _, _, by_popcount = search._outer_table(span, fixed, bits, symmetric, cons)
+        _, _, by_popcount, _ = search._outer_table(span, fixed, bits, symmetric, cons)
         masks = np.concatenate([m for m, _ in by_popcount])
         kmin = np.concatenate([k for _, k in by_popcount])
         ess = np.zeros_like(masks)
         for d in range(max(1, span - t), span + 1):
-            search._mark_essential(ess, masks, d)
+            search._mark_essential(ess, masks, d, span)
         pairs = search._lag_pairs(masks, min(cons.coupling.q, span))
         expected = oracle_smallest_sizes(pairs, np.bitwise_count(ess).tolist(), span, cons,
                                          search.LEAKAGE_MARGIN)
         assert kmin.tolist() == expected.tolist(), (span, fixed, bits)
+
+
+def _mix_queries():
+    """The random mixes the brute-force oracle checks, as constraints."""
+    return ([_random_mix_and_oracle(seed)[0] for seed in range(24)]
+            + [_random_leakage_mix(np.random.default_rng(1000 + seed)) for seed in range(10)])
+
+
+@pytest.mark.parametrize("kw", PINNED_QUERIES + [None])
+def test_seeded_fragility_cut_equals_the_full_lag_cut_on_every_pool(kw, monkeypatch):
+    # every pool the search cuts starts from its outer table's essential
+    # sets at lag span - t - 1, and keeps exactly the masks that the cut
+    # walking every lag keeps
+    cut, seeded = search._fragility_cut, []
+
+    def spy(masks, span, k, bound, seed=None):
+        kept = cut(masks, span, k, bound, seed)
+        assert seed is not None and seed.shape == masks.shape
+        assert kept.tolist() == oracle_fragility_cut(masks, span, k, bound).tolist(), (span, k)
+        seeded.append(masks.size)
+        return kept
+
+    monkeypatch.setattr(search, "_fragility_cut", spy)
+    for cons in [DesignConstraints(**kw)] if kw else _mix_queries():
+        solve_p1(cons, force=True)
+    # the tight-leakage query builds nothing, and at aperture 18 no mask
+    # passes leakage, so no pool reaches the cut
+    assert seeded or kw["max_leakage"] in (0.01, 0.25)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_outer_seed_holds_the_essential_sensors_of_the_outer_lags(symmetric):
+    # every candidate built from a kept outer pattern, at spans 1..24: the
+    # seed read by its pattern holds the sensors lags span - t .. span make
+    # essential in the whole candidate, middles included
+    t, middles = search._OUTER, 0
+    for span in range(1, 25):
+        for k in range(1, span + 2):
+            for masks in search._candidate_blocks(span, k, symmetric, _EVERY):
+                ess = np.zeros_like(masks)
+                for d in range(max(1, span - t), span + 1):
+                    ess |= oracle_lag_essential(masks, d)
+                seed = search._outer_seed(masks, span, k, symmetric, _EVERY)
+                assert (seed == ess).all(), (span, k)
+                if 2 * t >= span:
+                    ends = np.zeros_like(masks)
+                    for d in range(max(1, span - t), span + 1):
+                        pairs = masks & (masks >> d)
+                        ends |= np.where(np.bitwise_count(pairs) == 1, pairs | pairs << d, 0)
+                    middles += int((ess != ends).sum())
+    assert middles > 0
+
+
+def test_a_direct_leaf_call_without_a_table_walks_every_lag():
+    # a mirror image or a mask with an uncovered outer lag is never pooled;
+    # _feasible without its table still decides it by every lag
+    cons = DesignConstraints(max_aperture=20, max_fragility=Fraction(2, 5))
+    span, k, bound = 20, 10, 4
+    built = np.concatenate(list(search._candidate_blocks(span, k, False, _EVERY)))
+    mirror = _reflect(built, span)
+    for masks in (np.setdiff1d(mirror, built), built[(built & (built >> (span - 1))) == 0]):
+        assert masks.size
+        pairs = search._lag_pairs(masks, min(cons.coupling.q, span))
+        fit = masks[coupling.leakage_from_counts(pairs, k, cons.coupling.c1_magnitude)
+                    <= cons.max_leakage]
+        want = oracle_fragility_cut(fit, span, k, bound)
+        assert want.size and search._feasible(masks, span, k, cons).tolist() == want.tolist()
+
+
+def _leaf_calls(monkeypatch):
+    """The _mark_essential lags and _lag_pairs calls made inside _feasible,
+    one list of (function, span, lag) per leaf call."""
+    calls, leaf = [], [None]
+    feasible, mark, lag_pairs = search._feasible, search._mark_essential, search._lag_pairs
+
+    def spy_feasible(masks, span, k, cons, outer_table=None):
+        leaf[0] = []
+        calls.append(leaf[0])
+        try:
+            return feasible(masks, span, k, cons, outer_table)
+        finally:
+            leaf[0] = None
+
+    def spy_mark(ess, masks, d, span):
+        if leaf[0] is not None:
+            leaf[0].append(("mark", span, d))
+        mark(ess, masks, d, span)
+
+    def spy_pairs(masks, lags):
+        if leaf[0] is not None:
+            leaf[0].append(("pairs", None, lags))
+        return lag_pairs(masks, lags)
+
+    monkeypatch.setattr(search, "_feasible", spy_feasible)
+    monkeypatch.setattr(search, "_mark_essential", spy_mark)
+    monkeypatch.setattr(search, "_lag_pairs", spy_pairs)
+    return calls
+
+
+def test_the_leaf_cut_marks_only_the_lags_below_the_seed(monkeypatch):
+    # the seeded cut marks lags span - t - 1, span - t - 2, ... in turn and
+    # none that the outer table already marked
+    calls = _leaf_calls(monkeypatch)
+    t, marked = search._OUTER, 0
+    for A in (18, 20, 22):
+        solve_p1(DesignConstraints(max_aperture=A))
+    for call in calls:
+        lags = [(span, d) for name, span, d in call if name == "mark"]
+        if lags:
+            span = lags[0][0]
+            assert lags == [(span, span - t - 1 - i) for i in range(len(lags))]
+            marked += len(lags)
+    assert marked > 0
+
+
+def _full_leaf(masks, span, k, cons, outer_table=None):
+    """The leaf with both passes run on every pool, whatever the rules:
+    leakage by the shared formula, then the cut that walks every lag."""
+    pairs = search._lag_pairs(masks, min(cons.coupling.q, span))
+    masks = masks[coupling.leakage_from_counts(pairs, k, cons.coupling.c1_magnitude)
+                  <= cons.max_leakage]
+    return oracle_fragility_cut(masks, span, k, search._essential_bound(cons, k))
+
+
+RULES_AT_1 = [dict(max_fragility=1), dict(max_leakage=1), dict(max_fragility=1, max_leakage=1)]
+
+
+@pytest.mark.parametrize("rules", RULES_AT_1)
+def test_a_rule_set_to_1_makes_no_leaf_pass(rules, monkeypatch):
+    # a rule at 1 passes every mask, so the leaf skips its pass: no
+    # _mark_essential call under fragility 1, no _lag_pairs call under
+    # leakage 1, and every result equals that of the leaf running both
+    results = []
+    for leaf in ("library", "full"):
+        if leaf == "full":
+            monkeypatch.setattr(search, "_feasible", _full_leaf)
+        else:
+            calls = _leaf_calls(monkeypatch)
+        results.append([solve_p1(DesignConstraints(max_aperture=A, **rules))
+                        for A in range(1, 23)])
+        monkeypatch.undo()
+    library, full = results
+    assert [(_outcome(a), a.by_size) for a in library] == [(_outcome(b), b.by_size) for b in full]
+    assert calls
+    names = {name for call in calls for name, _, _ in call}
+    assert ("mark" in names) is ("max_fragility" not in rules)
+    assert ("pairs" in names) is ("max_leakage" not in rules)
 
 
 def test_a_cap_whose_square_underflows_is_decided_without_warnings():
