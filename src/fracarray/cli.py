@@ -64,8 +64,7 @@ def _write_output(path, text, argv, args):
         }],
     }
     with open(str(path) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
 def _summary_line(array, hole_free=False):
@@ -223,7 +222,8 @@ def _cmd_analyze(args, argv):
         om = np.linspace(-math.pi, math.pi, args.samples)
         bp = beampattern(array, om)
         vals = bp.values / len(array) ** 2 if args.normalize else bp.values
-        text = "omega,value\n" + "".join(f"{o:.12g},{v:.12g}\n" for o, v in zip(om, vals))
+        text = "omega,value\n" + "".join(f"{o:.12g},{v:.12g}\n"
+                                          for o, v in zip(om.tolist(), vals.tolist()))
         _write_output(args.beampattern, text, argv, args)
     return 0
 
@@ -290,8 +290,7 @@ def _cmd_search(args, argv):
     print(f"minimum size {result.optimum_size}, {len(result.optimum)} solution(s), "
           f"explored {result.explored}, pruned {result.pruned}, {elapsed:.2f}s")
     shown = result.optimum if args.all_solutions else result.optimum[:1]
-    for a in shown:
-        print("  " + " ".join(str(e) for e in a.elements))
+    sys.stdout.write("".join(f"  {' '.join(map(str, a.elements))}\n" for a in shown))
     if not args.all_solutions and len(result.optimum) > 1:
         print(f"  ... {len(result.optimum) - 1} more (use --all-solutions)")
     return 0

@@ -60,6 +60,16 @@ class SensorArray:
         if not isinstance(self.name, str):
             raise ArrayFormatError("array name must be a string")
 
+    @classmethod
+    def _trusted(cls, elements):
+        """The unnamed array of elements that are already normalized: distinct
+        ints, ascending from 0, as the design search decodes its optima. They
+        are taken as given, without the constructor's checks."""
+        array = object.__new__(cls)
+        object.__setattr__(array, "elements", tuple(elements))
+        object.__setattr__(array, "name", "")
+        return array
+
     def __len__(self):
         return len(self.elements)
 

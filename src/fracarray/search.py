@@ -11,18 +11,22 @@ tabulated first, once per search for each family shape. Each pattern
 carries kmin, the smallest size it may join: the first size whose fragility
 bound admits the sensors it makes essential at lags span - t .. span, and
 the first at which its own pairs fit the leakage cap, by the leakage
-formula solved for n. A pattern joins the inner positions at each size
-from kmin on. Under the hole-free rule only patterns covering lags
-span - t .. span - 1 join, and each block keeps its complete rulers, with
-one AND-shift per shorter lag. The kept masks of consecutive blocks of one
-(span, k) are pooled, up to BLOCK masks, and each pool goes through leakage
-and then fragility, all exact; a rule set to 1 passes every mask and makes
-no pass. Fragility is a running cut: lags from the longest add their
-essential sensors, and a mask leaves as soon as it holds too many. The
-outer table already holds each pattern's essential sensors at lags
-span - t .. span, and one family builds each (span, k), so the cut starts
-from the set its pattern holds, at lag span - t - 1. The optima are decoded
-from their masks.
+formula solved for n. One 2-D pass over the lag band span - t .. span
+gives every pattern's pairs at all of those lags, and from them its
+essential sensors and the hole-free filter. A pattern joins the inner
+positions at each size from kmin on. Under the hole-free rule only
+patterns covering lags span - t .. span - 1 join, and each block keeps its
+complete rulers, with one AND-shift per shorter lag. The kept masks of
+consecutive blocks of one (span, k) are pooled, up to BLOCK masks, and
+each pool goes through leakage and then fragility, all exact; a rule set
+to 1 passes every mask and makes no pass. Fragility is a running cut:
+lags from the longest add their essential sensors, and a mask leaves as
+soon as it holds too many. The outer table already holds each pattern's
+essential sensors at lags span - t .. span, and one family builds each
+(span, k), so the cut starts from the set its pattern holds, at lag
+span - t - 1. The optima are decoded from their masks, already sorted,
+distinct and 0-based, so they become arrays without the constructor's
+checks.
 
 The reflection e -> span - e keeps a candidate's span, size and coarray
 counts, so every rule decides a candidate and its mirror image alike. A
@@ -44,8 +48,8 @@ from .core import SensorArray, difference_coarray, is_symmetric
 from .coupling import (CouplingModel, leakage_from_counts, leakage_from_profile,
                        smallest_size_within)
 
-# with the default rules A=28 takes 0.015-0.024 s in process on a 2-core
-# shared VM and A=29 0.10-0.16 s. The outer cuts depend on the rules: at
+# with the default rules A=28 takes 0.013-0.022 s in process on a 2-core
+# shared VM and A=29 0.09-0.14 s. The outer cuts depend on the rules: at
 # A=28 the infeasible --max-leakage 0.25 query builds 9.5M candidates in
 # about 1.2 s (and the infeasible --no-hole-free --max-fragility 1/10 one
 # 1.7M in about 0.16 s); the guard moves only when a measurement justifies it
@@ -254,7 +258,12 @@ def _outer_table(span, fixed, bits, symmetric, cons):
     is the first size whose _essential_bound admits them and at which, under
     a leakage rule, the pairs leak at most max_leakage * (1 + LEAKAGE_MARGIN).
     The same sensors are essential to those lags in every candidate holding
-    the pattern, so the leaf's fragility cut starts from seed."""
+    the pattern, so the leaf's fragility cut starts from seed.
+
+    All of this comes from one (lags x patterns) pass over the lag band:
+    one AND-shift gives every pattern's pairs at every lag span - t .. span,
+    the hole-free rule keeps the patterns with a pair in each row but the
+    last, and the essential sensors are those of every row OR-ed together."""
     t = _OUTER
     left = min(t, bits)
     n_out = left if symmetric else min(2 * t, bits)
@@ -269,12 +278,16 @@ def _outer_table(span, fixed, bits, symmetric, cons):
         outer = outer[outer <= reverse >> (2 * t - n_out)]
     masks = (np.uint64(fixed) | _place(outer & ((1 << left) - 1), 1, span, symmetric)
              | (outer >> left) << (span - n_out + left))
-    for d in range(max(1, span - t), span) if cons.require_hole_free else ():
-        covered = (masks & (masks >> d)) != 0
+    # row j holds every pattern's pairs at lag first + j: with the lags down
+    # the rows, numpy's inner loops run along the patterns, not the few lags
+    first = max(1, span - t)
+    lags = np.arange(first, span + 1, dtype=np.uint64)[:, None]
+    pairs = masks & (masks >> lags)
+    if cons.require_hole_free:
+        covered = pairs[:-1].all(axis=0)
         outer, masks = outer[covered], masks[covered]
-    ess = np.zeros_like(masks)
-    for d in range(max(1, span - t), span + 1):
-        _mark_essential(ess, masks, d, span)
+        pairs = np.compress(covered, pairs, axis=1)
+    ess = np.bitwise_or.reduce(_mark_essential(pairs, lags, 2 * first <= span), axis=0)
     # no candidate holds more than span + 1 sensors, so larger sizes clip
     bounds = [_essential_bound(cons, n) for n in range(span + 2)]
     kmin = np.searchsorted(bounds, np.bitwise_count(ess))
@@ -315,22 +328,28 @@ def _candidate_blocks(span, k, symmetric, outer_table):
 def _lag_pairs(masks, lags):
     """(masks x lags) uint8 pair counts at lags 1..lags, one column per lag."""
     pairs = np.empty((masks.size, lags), dtype=np.uint8)
+    # one scratch buffer for every lag, and each count written in place
+    shifted = np.empty_like(masks)
     for d in range(1, lags + 1):
-        pairs[:, d - 1] = np.bitwise_count(masks & (masks >> d))
+        np.right_shift(masks, d, out=shifted)
+        shifted &= masks
+        np.bitwise_count(shifted, out=pairs[:, d - 1])
     return pairs
 
 
-def _mark_essential(ess, masks, d, span):
-    """Add to ess the sensors that lag d makes essential in each mask of the
-    given span: the ends of its pair at weight 1 and the middle of
-    g - d, g, g + d at weight 2, the rule analysis.economy reads from its
-    pair pass. A middle needs g - d >= 0 and g + d <= span, so it is looked
-    for only when 2d <= span."""
-    pairs = masks & (masks >> d)  # bit i: sensors at i and i + d
+def _mark_essential(pairs, d, middles):
+    """The sensors that lag d makes essential, from pairs = masks & (masks >> d),
+    whose bit i marks the sensors at i and i + d: the ends of its pair at
+    weight 1 and the middle of g - d, g, g + d at weight 2, the rule
+    analysis.economy reads from its pair pass. d is one lag, or the column
+    of lags of a (lags x masks) pairs matrix, which gets one set per entry.
+    Middles are looked for only when middles is true: a middle needs
+    g - d >= 0 and g + d <= span, so a lag with 2d > span has none."""
     w = np.bitwise_count(pairs)
-    ess |= np.where(w == 1, pairs | (pairs << d), 0)
-    if 2 * d <= span:
+    ess = np.where(w == 1, pairs | (pairs << d), 0)
+    if middles:
         ess |= np.where(w == 2, (pairs & (pairs >> d)) << d, 0)
+    return ess
 
 
 def _fragility_cut(masks, span, k, bound, seed=None):
@@ -348,7 +367,7 @@ def _fragility_cut(masks, span, k, bound, seed=None):
     for d in range(first, 0, -1):
         if not masks.size:
             break
-        _mark_essential(ess, masks, d, span)
+        ess |= _mark_essential(masks & (masks >> d), d, 2 * d <= span)
         keep = np.bitwise_count(ess) <= bound
         masks, ess = masks[keep], ess[keep]
     # the loop is empty for the single sensor, span 0
@@ -473,7 +492,7 @@ def solve_p1(constraints, force=False):
                 found += _feasible(np.concatenate(pool), span, k, cons, outer_table).tolist()
         by_size.append((k, explored, candidates - explored, complete))
         if found:
-            sols, size = [SensorArray(e) for e in _optima(found, k)], k
+            sols, size = [SensorArray._trusted(e) for e in _optima(found, k)], k
             break
     msg = "" if sols else f"no feasible array within aperture {A}"
     return SearchResult(tuple(sols), size, sum(s[1] for s in by_size),

@@ -14,7 +14,8 @@ import pytest
 from fracarray import (ArrayFormatError, CoarrayProfile, EconomyReport, EstimationFailure,
                        IdentifiabilityError, SensorArray, check_constraints, coupling_matrix,
                        difference_coarray)
-from fracarray.coupling import leakage_from_counts
+from fracarray import search
+from fracarray.coupling import leakage_from_counts, smallest_size_within
 
 # reference designs used across the suite
 S_ELEMS = (0, 1, 2, 4, 7, 10, 13, 16, 18, 19, 20)
@@ -197,6 +198,41 @@ def oracle_lag_essential(masks, d):
     ends = np.where(w == 1, pairs | (pairs << d), 0)
     middle = np.where(w == 2, (pairs & (pairs >> d)) << d, 0)
     return ends | middle
+
+
+def oracle_outer_table(span, fixed, bits, symmetric, cons):
+    """search._outer_table one lag at a time: the hole-free rule drops the
+    patterns missing a pair at each of lags span - t .. span - 1 in turn
+    (t = _OUTER), and each of lags span - t .. span adds its essential
+    sensors by oracle_lag_essential, which looks for a middle at every lag."""
+    t = search._OUTER
+    left = min(t, bits)
+    n_out = left if symmetric else min(2 * t, bits)
+    outer = np.concatenate(search._popcount_groups()[:n_out + 1])
+    outer = outer[outer < 1 << n_out]
+    if not symmetric:
+        reverse = (search._REVERSED[outer & ((1 << t) - 1)] << t
+                   | search._REVERSED[outer >> t])
+        outer = outer[outer <= reverse >> (2 * t - n_out)]
+    masks = (np.uint64(fixed) | search._place(outer & ((1 << left) - 1), 1, span, symmetric)
+             | (outer >> left) << (span - n_out + left))
+    for d in range(max(1, span - t), span) if cons.require_hole_free else ():
+        covered = (masks & (masks >> d)) != 0
+        outer, masks = outer[covered], masks[covered]
+    ess = np.zeros_like(masks)
+    for d in range(max(1, span - t), span + 1):
+        ess |= oracle_lag_essential(masks, d)
+    bounds = [search._essential_bound(cons, n) for n in range(span + 2)]
+    kmin = np.searchsorted(bounds, np.bitwise_count(ess))
+    if cons.max_leakage < 1:
+        pairs = search._lag_pairs(masks, min(cons.coupling.q, span))
+        kmin = np.maximum(kmin, smallest_size_within(
+            pairs, cons.max_leakage * (1 + search.LEAKAGE_MARGIN), cons.coupling.c1_magnitude,
+            span + 1))
+    edges = np.searchsorted(np.bitwise_count(outer), np.arange(n_out + 2)).tolist()
+    seed = np.zeros(1 << n_out, dtype=np.uint64)
+    seed[outer] = ess
+    return left, n_out, [(masks[a:b], kmin[a:b]) for a, b in zip(edges, edges[1:])], seed
 
 
 def oracle_fragility_cut(masks, span, k, bound):

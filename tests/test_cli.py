@@ -1028,7 +1028,10 @@ def test_every_written_file_has_a_matching_manifest(argv, written, holds, tmp_pa
     assert main([a.format(d=tmp_path) for a in argv]) == 0
     data = (tmp_path / written).read_bytes()
     assert holds in data.decode("utf-8")
-    manifest = json.loads((tmp_path / f"{written}.manifest.json").read_text())
+    text = (tmp_path / f"{written}.manifest.json").read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    # the layout stays pinned: a two-space indent, ASCII escapes, a final newline
+    assert text == json.dumps(manifest, indent=2) + "\n"
     assert manifest["outputs"] == [{"path": written,
                                     "sha256": hashlib.sha256(data).hexdigest(),
                                     "bytes": len(data)}]
