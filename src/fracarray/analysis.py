@@ -136,11 +136,12 @@ def _pair_pass(elems, counts):
     # pairs g forms there, and it forms at most two. So g is essential iff
     # it ends a pair at a weight-1 lag (ends; C1 asks this of every sensor)
     # or is the middle of g - d, g, g + d at a weight-2 lag (middle); the
-    # triple is seen from its lower pair (g - d, g). The walk goes from the
-    # middle row of the folded pair table down, in blocks of about an
-    # eighth of it but at least 4,096 entries (up to 64 sensors take one
-    # block), and stops once every sensor ends a weight-1 pair: ends only
-    # grows, and once it is full every sensor is essential and C1 holds.
+    # triple is seen from its lower pair (g - d, g). Returns (ends, middle).
+    # The walk goes from the middle row of the folded pair table down, in
+    # blocks of about an eighth of it but at least 4,096 entries (up to 64
+    # sensors take one block), and stops once every sensor ends a weight-1
+    # pair: ends only grows, and once it is full every sensor is essential
+    # and C1 holds, whatever middle holds by then.
     n = elems.size
     # lag 0, the zeroed repeat of an even row, passes only when n == 2; its
     # one pair has weight 1, so that walk stops before the middle rule
@@ -162,20 +163,36 @@ def _pair_pass(elems, counts):
         far = elems[top] + lag[~one]
         at = np.minimum(np.searchsorted(elems, far), n - 1)
         middle[top[elems[at] == far]] = True
-    return ends | middle, bool(ends.all())
+    return ends, middle
+
+
+def _weight_one_ends(pos, counts, factors):
+    # E1, the sensors that end a weight-1 pair. For X = G + m * Y, w_X is
+    # w_G(l1) * w_Y(l2), and l1 = 0 or l2 = 0 weighs |G| or |Y| >= 2, so
+    # E1(X) = E1(G) x E1(Y) in X's order: Y's sensors in the rows
+    if factors is None:
+        return _pair_pass(pos, counts)[0]
+    g, _, y = factors
+    return np.logical_and.outer(_weight_one_ends(*y), _weight_one_ends(*g)).ravel()
 
 
 def economy(array):
     """Partition sensors into essential and inessential, with the essential
     fraction as an exact rational.
 
-    Both essentialness and C1 come from one walk over the folded pair
-    blocks of core.pair_blocks, O(N^2) like the coarray itself at worst: a
-    sensor is essential iff it ends a pair at a weight-1 lag or sits
-    between the two pairs of a weight-2 lag. The walk stops as soon as
-    every sensor ends a weight-1 pair, which settles both answers; on
-    fractal expansions of (0, 1, 4, 6) that is after about an eighth of
-    the pairs.
+    A sensor is essential iff it ends a pair at a weight-1 lag or sits
+    between the two pairs of a weight-2 lag. When the coarray was counted
+    from a factorisation X = G + M * Y (core.CoarrayProfile.factors), no
+    sensor is such a middle: the triple x - L, x, x + L needs a triple at
+    l1 in G (or l1 = 0) and one at l2 in Y (or l2 = 0), so w_X(L) =
+    w_G(l1) w_Y(l2) >= 2 * 2. The essential set is then E1(G) x E1(Y),
+    each factor's sensors that end a weight-1 pair, found the same way,
+    and C1 holds iff it holds for both factors. The cost is that of the
+    factors, not O(N^2).
+
+    Any other array takes one walk over the folded pair blocks of
+    core.pair_blocks, O(N^2) at worst, which stops as soon as every sensor
+    ends a weight-1 pair: that settles both answers.
 
     A single-sensor array counts as essential by convention, fragility 1.
     """
@@ -183,8 +200,13 @@ def economy(array):
     n = elems.size
     if n == 1:
         return EconomyReport(tuple(array.elements), (), Fraction(1), True, True)
-    mask, c1 = _pair_pass(elems, difference_coarray(array).counts)
+    prof = difference_coarray(array)
+    if prof.factors is None:
+        ends, middle = _pair_pass(elems, prof.counts)
+        mask = ends | middle
+    else:
+        mask = ends = _weight_one_ends(elems, prof.counts, prof.factors)
     essential = tuple(elems[mask].tolist())
     inessential = tuple(elems[~mask].tolist())
     return EconomyReport(essential, inessential, Fraction(int(mask.sum()), n),
-                         not inessential, c1)
+                         not inessential, bool(ends.all()))

@@ -7,6 +7,7 @@ units only matter at display time.
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +92,10 @@ class SensorArray:
 
 # element budget of one temporary in the chunked pair passes
 PAIR_BUDGET = 4_000_000
+# entries per block of the walk that counts pairs
+COUNT_BLOCK = 1 << 16
+# fewest sensors counted from a factorisation; below it the walk is faster
+FACTOR_MIN = 256
 
 
 def pair_blocks(pos, rows=None):
@@ -130,13 +135,70 @@ def pair_blocks(pos, rows=None):
 
 def _pair_counts(pos):
     # counts[d] = number of ordered pairs with difference d >= 0; the
-    # zeroed repeat of an even row lands at lag 0, which is set after
+    # zeroed repeat of an even row lands at lag 0, which is set after.
+    # Blocks of about COUNT_BLOCK entries keep each np.add.at in cache.
     A = int(pos[-1])
     counts = np.zeros(A + 1, dtype=np.int64)
-    for _, d in pair_blocks(pos):
+    for _, d in pair_blocks(pos, max(1, COUNT_BLOCK // pos.size)):
         np.add.at(counts, d.ravel(), 1)
     counts[0] = pos.size
     return counts
+
+
+def _factor(pos):
+    """(n1, m) of the factorisation pos = G + m * Y that CoarrayProfile
+    describes, G = pos[:n1] with 2 <= n1 <= n/2, for the smallest n1 that
+    has one; None when none does."""
+    n = pos.size
+    sizes = np.arange(2, n // 2 + 1)
+    # m divides the second translate, pos[n1], so pos[n1] >= m > 2 max(G):
+    # the gap after G exceeds max(G) = pos[n1 - 1]
+    gap = pos[sizes] - pos[sizes - 1]
+    for n1 in sizes[(n % sizes == 0) & (gap > pos[sizes - 1])].tolist():
+        g = pos[:n1]
+        if not np.array_equal(pos[n1:2 * n1] - pos[n1], g):
+            continue
+        blocks = pos.reshape(-1, n1)
+        offsets = blocks[:, 0]
+        if not np.array_equal(blocks - offsets[:, None], np.broadcast_to(g, blocks.shape)):
+            continue
+        m = int(np.gcd.reduce(offsets))
+        if m > 2 * int(g[-1]):
+            return n1, m
+    return None
+
+
+def _product_counts(g_counts, m, y_counts):
+    # counts of G + m * Y from its factors': lag L = l1 + m * l2 >= 0 has
+    # l2 = 0 and l1 >= 0, or l2 >= 1 and any l1 in -a..a. Row l2 of the
+    # second kind is G's full map times w_Y(l2), at lags m * l2 - a ..
+    # m * l2 + a; m > 2a keeps the rows apart, and lags between them stay 0
+    a = g_counts.size - 1
+    counts = np.zeros(a + m * (y_counts.size - 1) + 1, dtype=np.int64)
+    np.multiply(g_counts, y_counts[0], out=counts[:a + 1])
+    rows = np.ndarray((y_counts.size - 1, 2 * a + 1), counts.dtype, buffer=counts,
+                      offset=(m - a) * counts.itemsize, strides=(m * counts.itemsize, counts.itemsize))
+    np.multiply(y_counts[1:, None], np.concatenate([g_counts[:0:-1], g_counts]), out=rows)
+    return counts
+
+
+class _Tally(NamedTuple):
+    """The pair counts of sorted positions, and how they were made: factors
+    is (g, m, y), the tallies of G and Y with pos = G + m * Y, or None when
+    the pairs were walked."""
+
+    pos: np.ndarray
+    counts: np.ndarray
+    factors: tuple | None
+
+
+def _tally(pos):
+    split = _factor(pos) if pos.size >= FACTOR_MIN else None
+    if split is None:
+        return _Tally(pos, _pair_counts(pos), None)
+    n1, m = split
+    g, y = _tally(pos[:n1].copy()), _tally(pos[::n1] // m)
+    return _Tally(pos, _product_counts(g.counts, m, y.counts), (g, m, y))
 
 
 class CoarrayProfile:
@@ -151,12 +213,28 @@ class CoarrayProfile:
         central_ula_halfwidth: largest m with all of [-m, m] present
         ula_size: central ULA size M = 2m + 1, the copy spacing factor of
             fractal expansion
+        factors: (g, m, y) when the counts came from a factorisation
+            X = G + m * Y, with g and y the (pos, counts, factors) tallies
+            of G and Y; None when the pairs were walked
+
+    An array of FACTOR_MIN sensors or more is factored when it can be: G is
+    its first n1 sensors (n1 divides N, 2 <= n1 <= N/2), every block of n1
+    sensors is a translate of G, and m, the gcd of the translates, is at
+    least 2 * max(G) + 1. Every lag then splits uniquely as l1 + m * l2
+    with |l1| <= max(G), so w_X = w_G(l1) * w_Y(l2) exactly, whether or not
+    G and Y have holes, and the counts are one int64 outer product of the
+    factors' counts, each found the same way: O(N + aperture) in all.
+    Expansions of hole-free generators factor from order 2 on. Those of
+    holed ones (m = |U| < 2 * max(G) + 1), the baselines and most other
+    arrays do not, and take the O(N^2) pair walk.
     """
 
     def __init__(self, array):
         pos = array.as_array()
         self.aperture = int(pos[-1])
-        self.counts = _pair_counts(pos)
+        tally = _tally(pos)
+        self.counts = tally.counts
+        self.factors = tally.factors
         self.counts.setflags(write=False)
         present = self.counts > 0
         self.dof = 2 * int(np.count_nonzero(present)) - 1
@@ -172,7 +250,8 @@ class CoarrayProfile:
 
 
 def difference_coarray(array):
-    """All pairwise position differences with multiplicities, in one pass.
+    """All pairwise position differences with multiplicities: from the
+    array's factors when it factors, else from one walk over its pairs.
 
     The profile is built once per array and kept on it: a SensorArray never
     changes, so every later call returns the same profile."""

@@ -37,6 +37,7 @@ decoded with their reflections.
 """
 
 import functools
+import gc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -442,6 +443,19 @@ def _count_candidates(span, k, symmetric):
     return sum(math.comb(bits, count) for _, bits, count in _families(span, k, symmetric))
 
 
+def _build_optima(decoded):
+    # each new array is a tuple and an instance dict, which count towards
+    # the cyclic collector's thresholds but make no cycle; a large result
+    # would pay for many full collections, so the collector waits
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [SensorArray._trusted(e) for e in decoded]
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def solve_p1(constraints, force=False):
     """Find every minimum-cardinality array satisfying the constraints.
 
@@ -492,7 +506,7 @@ def solve_p1(constraints, force=False):
                 found += _feasible(np.concatenate(pool), span, k, cons, outer_table).tolist()
         by_size.append((k, explored, candidates - explored, complete))
         if found:
-            sols, size = [SensorArray._trusted(e) for e in _optima(found, k)], k
+            sols, size = _build_optima(_optima(found, k)), k
             break
     msg = "" if sols else f"no feasible array within aperture {A}"
     return SearchResult(tuple(sols), size, sum(s[1] for s in by_size),

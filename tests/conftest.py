@@ -14,7 +14,7 @@ import pytest
 from fracarray import (ArrayFormatError, CoarrayProfile, EconomyReport, EstimationFailure,
                        IdentifiabilityError, SensorArray, check_constraints, coupling_matrix,
                        difference_coarray)
-from fracarray import search
+from fracarray import core, search
 from fracarray.coupling import leakage_from_counts, smallest_size_within
 
 # reference designs used across the suite
@@ -425,6 +425,39 @@ def mixed_sequences(pool, rng, count):
     pool = [g for g in pool if len(g) >= 2]
     return [[SensorArray(pool[i]) for i in rng.integers(len(pool), size=3)]
             for _ in range(count)]
+
+
+def oracle_product(g, m, y):
+    """The positions of G + m * Y, each sum g + m * y one at a time."""
+    return tuple(sorted({a + m * b for b in y for a in g}))
+
+
+def random_products(rng, count):
+    """count element tuples G + m * Y with m >= 2 max(G) + 1, the condition
+    under which every lag splits uniquely: G of 2..9 sensors, holed or not,
+    m up to 4 past its least value, and Y itself such a product in about a
+    third of the draws."""
+    out = []
+    while len(out) < count:
+        g = random_elements(rng, 8)
+        if len(g) < 2:
+            continue
+        if rng.random() < 1 / 3:
+            inner = random_elements(rng, 4)
+            y = oracle_product(inner, 2 * inner[-1] + 1 + int(rng.integers(3)),
+                               random_elements(rng, 4))
+        else:
+            y = random_elements(rng, 12)
+        if len(y) >= 2:
+            out.append(oracle_product(g, 2 * g[-1] + 1 + int(rng.integers(5)), y))
+    return out
+
+
+@pytest.fixture
+def factor_from_four(monkeypatch):
+    """Counts every array of four sensors or more that factors from its
+    factors, so that small arrays the oracles can afford take that route."""
+    monkeypatch.setattr(core, "FACTOR_MIN", 4)
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from fracarray import (
     economy,
     expand,
     fractal_weight,
+    mra,
     nested,
     product_beampattern,
     ula,
@@ -21,6 +22,7 @@ from fracarray import (
 from conftest import (
     S_ELEMS,
     G_ELEMS,
+    arrays_with_aperture_upto,
     mixed_sequences,
     oracle_collision_free,
     oracle_economy,
@@ -28,8 +30,10 @@ from conftest import (
     oracle_fractal_weight,
     oracle_grid_beampattern,
     oracle_hole_free,
+    oracle_product,
     oracle_weight_map,
     random_elements,
+    random_products,
     weight_expand,
 )
 
@@ -376,10 +380,13 @@ def test_fast_essentialness_on_pool(small_pool, monkeypatch):
 
 def test_economy_stops_once_every_sensor_ends_a_weight_one_pair(monkeypatch):
     # (0,1,4,6)^4: 256 sensors, every one ending a weight-1 pair; the walk
-    # is 8 blocks of 16 rows, from row 128 down
+    # is 8 blocks of 16 rows, from row 128 down. economy counts this array
+    # from its factors, so the pair pass is called on its positions directly
     arr = expand(SensorArray((0, 1, 4, 6)), 4)
-    walks = _spy_walks(monkeypatch)
     assert economy(arr) == oracle_economy(arr.elements)
+    walks = _spy_walks(monkeypatch)
+    ends, _ = fracarray.analysis._pair_pass(arr.as_array(), difference_coarray(arr).counts)
+    assert ends.all()
     (starts,) = walks
     assert starts[0] == 113 and 1 < starts[-1]
 
@@ -537,3 +544,153 @@ def test_essential_plus_inessential_partition():
         rep = economy(SensorArray(elems))
         merged = tuple(sorted(rep.essential + rep.inessential))
         assert merged == elems
+
+
+# The product route: an array X = G + m * Y of FACTOR_MIN sensors or more
+# has its counts and essential sensors from its factors. The oracle tests
+# lower the switch with the factor_from_four fixture, so that arrays small
+# enough for the removal definition take that route.
+
+def _assert_route(arr, factored):
+    # the coarray took the route named; its counts equal the oracle's and
+    # the direct walk's, element for element and in dtype, and economy
+    # equals the removal definition
+    prof = difference_coarray(arr)
+    assert (prof.factors is not None) is factored
+    w = oracle_weight_map(arr.elements)
+    walked = fracarray.core._pair_counts(arr.as_array())
+    assert prof.counts.dtype == walked.dtype == np.int64
+    assert prof.counts.tolist() == walked.tolist() == [
+        w.get(lag, 0) for lag in range(arr.aperture + 1)]
+    assert not prof.counts.flags.writeable
+    rep = economy(arr)
+    assert rep == oracle_economy(arr.elements)
+    return rep
+
+
+def test_product_route_on_expansions_of_the_hole_free_pool(hole_free_pool, factor_from_four):
+    reps = []
+    for elems in hole_free_pool:
+        gen = SensorArray(elems)
+        for r in (2, 3):
+            if len(gen) ** r <= 64:
+                reps.append(_assert_route(expand(gen, r), len(gen) > 1))
+    assert len(reps) > 100 and not all(rep.satisfies_C1 for rep in reps)
+    assert not all(rep.maximally_economic for rep in reps)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_route_on_mixed_sequences(seed, hole_free_pool, factor_from_four):
+    rng = np.random.default_rng(500 + seed)
+    for gens in mixed_sequences([g for g in hole_free_pool if len(g) <= 4], rng, 10):
+        for r in (2, 3):
+            _assert_route(expand(gens, r), True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_product_route_on_random_products(seed, factor_from_four):
+    # G holed or not, m above its least value, Y a product in a third
+    reps = [_assert_route(SensorArray(elems), True)
+            for elems in random_products(np.random.default_rng(900 + seed), 40)
+            if len(elems) <= 40]
+    assert len(reps) >= 20 and not all(rep.maximally_economic for rep in reps)
+
+
+def test_product_route_on_cantor_arrays(factor_from_four):
+    for r in range(2, 6):
+        assert _assert_route(cantor(r), True).satisfies_C1
+
+
+def test_arrays_that_do_not_factor_take_the_walk(factor_from_four):
+    rng = np.random.default_rng(41)
+    # holed generators that are no product themselves: their expansions
+    # space the copies by m = |U| < 2 * max(G) + 1
+    holed = [SensorArray(e) for e in arrays_with_aperture_upto(7)
+             if 2 < len(e) <= 4 and not oracle_hole_free(e)
+             and fracarray.core._factor(np.asarray(e)) is None]
+    assert len(holed) > 10
+    for gen in holed:
+        for r in (2, 3):
+            _assert_route(expand(gen, r), False)
+    for arr in (ula(12), nested(4, 4), nested(6, 5), coprime(3, 4), coprime(5, 7), mra(8),
+                mra(10)):
+        _assert_route(arr, False)
+    # a product with its second sensor moved to a free position
+    moved = 0
+    for elems in random_products(rng, 40):
+        free = sorted(set(range(elems[-1])) - set(elems))
+        if 4 < len(elems) <= 40 and free:
+            moved += 1
+            pick = free[int(rng.integers(len(free)))]
+            _assert_route(SensorArray(elems[:1] + elems[2:] + (pick,)), False)
+    assert moved >= 20
+
+
+def test_fault_survivors_take_the_walk():
+    # DOA survivors of (0,1,4,6)^2 are under the switch arrays use, even
+    # where a failure leaves a product behind
+    assert fracarray.core.FACTOR_MIN > 16
+    full = expand(SensorArray((0, 1, 4, 6)), 2).as_array()
+    rng = np.random.default_rng(43)
+    for p in (0.1, 0.25, 0.5):
+        for _ in range(10):
+            alive = full[rng.random(full.size) >= p]
+            if alive.size:
+                _assert_route(SensorArray(alive.tolist()), False)
+    # the 12 sensors left when every copy loses its 6 are (0,1,4) + 13 (0,1,4,6)
+    survivors = SensorArray([e for e in full.tolist() if e % 13 != 6])
+    assert fracarray.core._factor(survivors.as_array()) == (3, 13)
+    _assert_route(survivors, False)
+
+
+def test_factor_takes_the_smallest_block_and_the_gcd_of_the_translates():
+    factor = fracarray.core._factor
+    assert factor(expand(SensorArray((0, 1, 4, 6)), 3).as_array()) == (4, 13)
+    assert factor(cantor(5).as_array()) == (2, 3)
+    # translates 0, 30, 60 share m = 30 > 2 * 6, though 13 would serve
+    assert factor(np.asarray(oracle_product((0, 1, 4, 6), 30, (0, 1, 2)))) == (4, 30)
+    # m = 2 * max(G) leaves lag 6 = 6 + 0 m = -6 + 1 m ambiguous
+    assert factor(np.asarray(oracle_product((0, 1, 4, 6), 12, (0, 1, 3)))) is None
+    for elems in [(0,), (0, 1), (0, 1, 2), (0, 5)]:
+        assert factor(np.asarray(elems)) is None
+
+
+@pytest.mark.parametrize("arr", (
+    expand(SensorArray((0, 1, 4, 6)), 4),
+    expand(SensorArray((0, 1, 2, 6, 9)), 4),
+    cantor(8),
+    expand([SensorArray(e) for e in ((0, 1, 2), (0, 1, 4, 6), (0, 1, 2, 6, 9), (0, 1, 4, 6),
+                                     (0, 2, 3))], 5),
+), ids=("(0,1,4,6)^4", "MRA(5)^4", "cantor(8)", "mixed"))
+def test_product_route_at_the_switch_equals_the_walk(arr, monkeypatch):
+    assert len(arr) >= fracarray.core.FACTOR_MIN
+    prof = difference_coarray(arr)
+    rep = economy(arr)
+    assert prof.factors is not None
+    monkeypatch.setattr(fracarray.core, "FACTOR_MIN", len(arr) + 1)
+    fresh = SensorArray(arr.elements)
+    walked = difference_coarray(fresh)
+    assert walked.factors is None
+    assert prof.counts.dtype == walked.counts.dtype and np.array_equal(prof.counts, walked.counts)
+    assert economy(fresh) == rep
+
+
+def test_a_factored_product_walks_no_pairs_of_its_own(monkeypatch):
+    # (0,1,4,6)^5 = G + 13 Y with Y = (0,1,4,6)^4 = G + 13 (0,1,4,6)^3: the
+    # route walks only the factors below the switch, G twice and
+    # (0,1,4,6)^3, for its coarray and again for economy
+    arr = expand(SensorArray((0, 1, 4, 6)), 5)
+    walked = []
+    blocks = fracarray.core.pair_blocks
+
+    def spy(pos, rows=None):
+        walked.append(pos.size)
+        yield from blocks(pos, rows)
+
+    monkeypatch.setattr(fracarray.core, "pair_blocks", spy)
+    monkeypatch.setattr(fracarray.analysis, "pair_blocks", spy)
+    prof = difference_coarray(arr)
+    assert walked == [4, 4, 64]
+    rep = economy(arr)
+    assert sorted(walked[3:]) == [4, 4, 64] and rep.satisfies_C1 and rep.fragility == 1
+    assert prof.hole_free and prof.dof == 13 ** 5

@@ -1,5 +1,6 @@
 import collections
 import functools
+import gc
 import hashlib
 import itertools
 import os
@@ -301,6 +302,40 @@ def test_pinned_infeasible_aperture_18():
     assert _hole_free_counts(18, res) == [0] * 7 + [250, 2_074, 5_242, 7_372, 7_151, 5_164,
                                                 2_817, 1_155, 349, 75, 11, 1]
     assert res.message == "no feasible array within aperture 18"
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("gc-on", "gc-off"))
+def test_optima_build_pauses_the_collector_and_restores_its_state(enabled, monkeypatch):
+    # the 156 optima at A=22 are built with the collector paused, and
+    # solve_p1 leaves it as it found it, also when the build raises
+    trusted = SensorArray._trusted
+    paused = []
+
+    def spy(elements):
+        paused.append(not gc.isenabled())
+        return trusted(elements)
+
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        want = solve_p1(DesignConstraints(max_aperture=22))
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(SensorArray, "_trusted", spy)
+        res = solve_p1(DesignConstraints(max_aperture=22))
+        assert gc.isenabled() is enabled
+        assert len(paused) == 156 and all(paused)
+        assert res == want
+        assert _digest(res) == "90624447d17165247b736af03213a70c077d1d54fae289e997930aa5c0acf187"
+
+        def fail(elements):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(SensorArray, "_trusted", fail)
+        with pytest.raises(RuntimeError, match="build failed"):
+            solve_p1(DesignConstraints(max_aperture=22))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_pinned_aperture_28():
