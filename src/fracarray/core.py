@@ -236,10 +236,11 @@ class CoarrayProfile:
         self.counts = tally.counts
         self.factors = tally.factors
         self.counts.setflags(write=False)
-        present = self.counts > 0
-        self.dof = 2 * int(np.count_nonzero(present)) - 1
-        self.hole_free = bool(present.all())
-        missing = np.nonzero(~present)[0]
+        # the one pass over the counts: the holes give dof, hole_free and the
+        # half-width, since lag 0 always has a pair
+        missing = np.flatnonzero(self.counts == 0)
+        self.dof = 2 * (self.counts.size - missing.size) - 1
+        self.hole_free = not missing.size
         m = int(missing[0]) - 1 if missing.size else self.aperture
         self.central_ula_halfwidth = m
         self.ula_size = 2 * m + 1

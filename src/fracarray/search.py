@@ -15,18 +15,23 @@ formula solved for n. One 2-D pass over the lag band span - t .. span
 gives every pattern's pairs at all of those lags, and from them its
 essential sensors and the hole-free filter. A pattern joins the inner
 positions at each size from kmin on. Under the hole-free rule only
-patterns covering lags span - t .. span - 1 join, and each block keeps its
-complete rulers, with one AND-shift per shorter lag. The kept masks of
-consecutive blocks of one (span, k) are pooled, up to BLOCK masks, and
-each pool goes through leakage and then fragility, all exact; a rule set
-to 1 passes every mask and makes no pass. Fragility is a running cut:
-lags from the longest add their essential sensors, and a mask leaves as
-soon as it holds too many. The outer table already holds each pattern's
-essential sensors at lags span - t .. span, and one family builds each
-(span, k), so the cut starts from the set its pattern holds, at lag
-span - t - 1. The optima are decoded from their masks, already sorted,
-distinct and 0-based, so they become arrays without the constructor's
-checks.
+patterns covering lags span - t .. span - 1 join. Consecutive blocks of one
+(span, k) are pooled, up to BLOCK masks, and under the hole-free rule each
+pool keeps its complete rulers, those with a pair at every shorter lag.
+The kept masks are pooled again, up to BLOCK masks, and each pool goes
+through leakage and then fragility, all exact; a rule set to 1 passes every
+mask and makes no pass. Fragility is a running cut: lags from the longest
+add their essential sensors, and a mask leaves as soon as it holds too
+many. The outer table already holds each pattern's essential sensors at
+lags span - t .. span, and one family builds each (span, k), so the cut
+starts from the set its pattern holds, at lag span - t - 1. The hole-free
+filter and the fragility cut walk the lags one AND-shift at a time while a
+pool is large, so it shrinks early, and take the lags left in one
+(lags x masks) pass once it holds at most SMALL_POOL masks; leakage counts
+a pool that small at every lag in one pass too. So a small pool pays
+numpy's per-call cost once, not once per lag. The optima are decoded from
+their masks, already sorted, distinct and 0-based, so they become arrays
+without the constructor's checks.
 
 The reflection e -> span - e keeps a candidate's span, size and coarray
 counts, so every rule decides a candidate and its mirror image alike. A
@@ -49,11 +54,11 @@ from .core import SensorArray, difference_coarray, is_symmetric
 from .coupling import (CouplingModel, leakage_from_counts, leakage_from_profile,
                        smallest_size_within)
 
-# with the default rules A=28 takes 0.013-0.022 s in process on a 2-core
-# shared VM and A=29 0.09-0.14 s. The outer cuts depend on the rules: at
+# with the default rules A=28 takes 0.017-0.018 s in process on a 2-core
+# shared VM and A=29 about 0.07 s. The outer cuts depend on the rules: at
 # A=28 the infeasible --max-leakage 0.25 query builds 9.5M candidates in
-# about 1.2 s (and the infeasible --no-hole-free --max-fragility 1/10 one
-# 1.7M in about 0.16 s); the guard moves only when a measurement justifies it
+# 1.0-1.2 s (and the infeasible --no-hole-free --max-fragility 1/10 one
+# 1.7M in 0.11-0.15 s); the guard moves only when a measurement justifies it
 APERTURE_GUARD = 28
 
 
@@ -166,9 +171,12 @@ class SearchResult:
 # A candidate is a uint64 bitmask: bit e marks a sensor at position e, so a
 # span of at most MAX_SPAN fits. The kernel evaluates candidates in blocks
 # of at most BLOCK masks; the popcount table covers the low _LOW_BITS bits,
-# which also hold the 2 * _OUTER outer bits of a candidate.
+# which also hold the 2 * _OUTER outer bits of a candidate. A pool of at
+# most SMALL_POOL masks takes its lags left in one 2-D pass; 256, 512 and
+# 1,024 measured alike in process.
 MAX_SPAN = 63
 BLOCK = 1 << 13
+SMALL_POOL = 512
 _LOW_BITS = 13
 _OUTER = _LOW_BITS // 2
 # _REVERSED[b] is the _OUTER-bit mask b with its bits in reverse order
@@ -327,7 +335,13 @@ def _candidate_blocks(span, k, symmetric, outer_table):
 
 
 def _lag_pairs(masks, lags):
-    """(masks x lags) uint8 pair counts at lags 1..lags, one column per lag."""
+    """C-contiguous (masks x lags) uint8 pair counts at lags 1..lags, one
+    column per lag, or for a pool of at most SMALL_POOL masks all columns in
+    one 2-D pass. leakage_from_counts sums each row along its lags, so the
+    layout keeps every row's sum in the order leakage_from_profile takes."""
+    if masks.size <= SMALL_POOL:
+        col = masks[:, None]
+        return np.bitwise_count(col & (col >> np.arange(1, lags + 1, dtype=np.uint64)))
     pairs = np.empty((masks.size, lags), dtype=np.uint8)
     # one scratch buffer for every lag, and each count written in place
     shifted = np.empty_like(masks)
@@ -357,16 +371,21 @@ def _fragility_cut(masks, span, k, bound, seed=None):
     """The size-k masks with at most bound essential sensors, by
     _mark_essential at every lag. A single sensor counts as essential. Lags
     run from the longest, whose pairs are rarest; the essential set only
-    grows, so a mask leaves once it holds more than bound. seed, when given,
-    holds each mask's essential sensors at lags span - t .. span
-    (t = _OUTER), and the cut starts at lag span - t - 1."""
+    grows, so a mask leaves once it holds more than bound. Once the pool
+    holds at most SMALL_POOL masks, the lags left take one (lags x masks)
+    pass. seed, when given, holds each mask's essential sensors at lags
+    span - t .. span (t = _OUTER), and the cut starts at lag span - t - 1."""
     ess = masks.copy() if k == 1 else np.zeros_like(masks)
     first = span
     if seed is not None:
         ess |= seed
         first = span - _OUTER - 1
     for d in range(first, 0, -1):
-        if not masks.size:
+        if masks.size <= SMALL_POOL:
+            # lag 1 may have a middle once span >= 2, so the pass looks for them
+            lags = np.arange(d, 0, -1, dtype=np.uint64)[:, None]
+            ess |= np.bitwise_or.reduce(_mark_essential(masks & (masks >> lags), lags, span >= 2),
+                                        axis=0)
             break
         ess |= _mark_essential(masks & (masks >> d), d, 2 * d <= span)
         keep = np.bitwise_count(ess) <= bound
@@ -392,11 +411,13 @@ def _optima(masks, k):
 
 
 def _hole_free(masks, lags):
-    """The masks of one block with a pair at every lag 1..lags; the longest
-    (rarest) lags go first so the block shrinks early."""
+    """The masks of one pool with a pair at every lag 1..lags; the longest
+    (rarest) lags go first so the pool shrinks early. Once it holds at most
+    SMALL_POOL masks, the lags left take one (lags x masks) pass."""
     for d in range(lags, 0, -1):
-        if not masks.size:
-            break
+        if masks.size <= SMALL_POOL:
+            rest = np.arange(d, 0, -1, dtype=np.uint64)[:, None]
+            return masks[(masks & (masks >> rest)).all(axis=0)]
         masks = masks[(masks & (masks >> d)) != 0]
     return masks
 
@@ -443,6 +464,22 @@ def _count_candidates(span, k, symmetric):
     return sum(math.comb(bits, count) for _, bits, count in _families(span, k, symmetric))
 
 
+def _pooled(blocks):
+    """Join consecutive mask blocks into pools of at most BLOCK masks, so
+    each pass pays numpy's per-call cost once per pool; the bound keeps the
+    (masks x lags) float temporaries of leakage small. A pool of one block
+    is that block, not a copy."""
+    pool, held = [], 0
+    for masks in blocks:
+        if held + masks.size > BLOCK:
+            yield pool[0] if len(pool) == 1 else np.concatenate(pool)
+            pool, held = [], 0
+        pool.append(masks)
+        held += masks.size
+    if held:
+        yield pool[0] if len(pool) == 1 else np.concatenate(pool)
+
+
 def _build_optima(decoded):
     # each new array is a tuple and an instance dict, which count towards
     # the cyclic collector's thresholds but make no cycle; a large result
@@ -465,6 +502,11 @@ def solve_p1(constraints, force=False):
     results. Apertures above APERTURE_GUARD require force=True
     (enumeration is exponential); apertures above MAX_SPAN do not fit a
     candidate mask and raise ValueError even then.
+
+    For each span and size, the candidate blocks are pooled, up to BLOCK
+    masks, before the hole-free filter, and the complete rulers are pooled
+    again before leakage and fragility. Every count is taken per mask, so
+    the pool and SMALL_POOL sizes change no field of the result.
     """
     cons = constraints
     A = cons.max_aperture
@@ -486,24 +528,20 @@ def solve_p1(constraints, force=False):
             # a hole-free coarray over [-span, span] needs k(k-1) >= 2*span
             if cons.require_hole_free and span and k * (k - 1) < 2 * span:
                 continue
-            # the complete rulers of consecutive blocks share one leakage
-            # and fragility pass, which pays numpy's per-call cost once per
-            # pool; a pool holds at most BLOCK masks, which bounds the
-            # (masks x lags) float temporaries of leakage
-            pool, held = [], 0
-            for masks in _candidate_blocks(span, k, cons.require_symmetric, outer_table):
-                explored += masks.size
-                if cons.require_hole_free:
-                    # the outer table has covered lags span - _OUTER .. span - 1
-                    masks = _hole_free(masks, span - _OUTER - 1)
-                complete += masks.size
-                if held + masks.size > BLOCK:
-                    found += _feasible(np.concatenate(pool), span, k, cons, outer_table).tolist()
-                    pool, held = [], 0
-                pool.append(masks)
-                held += masks.size
-            if held:
-                found += _feasible(np.concatenate(pool), span, k, cons, outer_table).tolist()
+
+            def complete_rulers():
+                nonlocal explored
+                for masks in _pooled(_candidate_blocks(span, k, cons.require_symmetric,
+                                                       outer_table)):
+                    explored += masks.size
+                    if cons.require_hole_free:
+                        # the outer table has covered lags span - _OUTER .. span - 1
+                        masks = _hole_free(masks, span - _OUTER - 1)
+                    yield masks
+
+            for pool in _pooled(complete_rulers()):
+                complete += pool.size
+                found += _feasible(pool, span, k, cons, outer_table).tolist()
         by_size.append((k, explored, candidates - explored, complete))
         if found:
             sols, size = _build_optima(_optima(found, k)), k

@@ -200,6 +200,22 @@ def oracle_lag_essential(masks, d):
     return ends | middle
 
 
+def oracle_complete(masks, lags):
+    """search._hole_free one lag at a time, with no early exit: the masks
+    with a pair at every lag 1..lags."""
+    keep = np.ones(masks.shape, dtype=bool)
+    for d in range(1, lags + 1):
+        keep &= (masks & (masks >> d)) != 0
+    return masks[keep]
+
+
+def oracle_lag_pairs(masks, lags):
+    """search._lag_pairs one mask and one lag at a time: row i, column
+    d - 1 holds the number of pairs of mask i at lag d."""
+    rows = [[(m & (m >> d)).bit_count() for d in range(1, lags + 1)] for m in masks.tolist()]
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), lags)
+
+
 def oracle_outer_table(span, fixed, bits, symmetric, cons):
     """search._outer_table one lag at a time: the hole-free rule drops the
     patterns missing a pair at each of lags span - t .. span - 1 in turn

@@ -100,6 +100,28 @@ def test_single_sensor_profile():
     assert prof.aperture == 0
 
 
+@pytest.mark.parametrize("elems,factored", [
+    ((0, 2, 3), False),                # a hole at lag 1
+    ((0, 2, 5, 9), False),             # a hole at lag 1 and more above it
+    ((0,), False),                     # a single sensor
+    ((0, 1, 4, 6), False),             # hole-free
+    ((0, 1, 2, 6, 9), False),          # hole-free, odd size
+    (expand(SensorArray((0, 1, 4, 6)), 4).elements, True),
+    (expand(SensorArray((0, 1, 3, 7)), 4).elements, False),   # holed generator
+], ids=("hole-at-1", "holes-from-1", "single", "hole-free", "mra5", "factored", "holed-expansion"))
+def test_profile_summary_equals_the_oracle(elems, factored):
+    # dof, hole_free and the half-width all come from the holes of one count
+    # vector; each equals its definition on the set of differences
+    prof = difference_coarray(SensorArray(elems))
+    diffs = oracle_differences(elems)
+    m = oracle_central_halfwidth(elems)
+    assert (prof.dof, prof.hole_free, prof.central_ula_halfwidth, prof.ula_size) == (
+        len(diffs), oracle_hole_free(elems), m, 2 * m + 1)
+    assert type(prof.dof) is int and type(prof.hole_free) is bool
+    assert type(prof.central_ula_halfwidth) is int
+    assert (prof.factors is not None) is factored
+
+
 def test_counts_are_readonly():
     prof = difference_coarray(SensorArray((0, 1, 3)))
     with pytest.raises(ValueError):

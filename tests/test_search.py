@@ -26,11 +26,13 @@ from fracarray import coupling, search
 from conftest import (
     S_ELEMS,
     G_ELEMS,
+    oracle_complete,
     oracle_differences,
     oracle_elements,
     oracle_essential,
     oracle_fragility_cut,
     oracle_lag_essential,
+    oracle_lag_pairs,
     oracle_outer_table,
     oracle_smallest_sizes,
     oracle_solve_p1,
@@ -550,6 +552,77 @@ def test_results_do_not_depend_on_the_block_size(kw, monkeypatch):
     assert _outcome(solve_p1(cons)) == _outcome(whole)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(max_aperture=15),
+    dict(max_aperture=20, require_symmetric=True),
+    dict(max_aperture=10, exact_aperture=False, max_fragility=Fraction(2, 7), max_leakage=0.45),
+])
+@pytest.mark.parametrize("small", [0, 1, search.BLOCK])
+def test_results_do_not_depend_on_the_small_pool_size(kw, small, monkeypatch):
+    # 0 walks every lag one at a time (an empty pool still takes the 2-D
+    # pass), and BLOCK takes every pool's lags in one 2-D pass
+    cons = DesignConstraints(**kw)
+    whole = solve_p1(cons)
+    monkeypatch.setattr(search, "SMALL_POOL", small)
+    res = solve_p1(cons)
+    assert (_outcome(res), res.by_size) == (_outcome(whole), whole.by_size)
+
+
+def _random_masks(rng, n, span, k):
+    """n random size-k masks spanning exactly span; a mask may repeat."""
+    inner = rng.random((n, span - 1)).argsort(axis=1)[:, :k - 2] + 1
+    return (np.uint64(1 | 1 << span)
+            | (np.uint64(1) << inner.astype(np.uint64)).sum(axis=1, dtype=np.uint64))
+
+
+# the pool sizes around the switch from the lag-by-lag walk to one 2-D pass
+POOL_SIZES = [0, 1, search.SMALL_POOL, search.SMALL_POOL + 1, search.BLOCK]
+
+
+@pytest.mark.parametrize("n", POOL_SIZES)
+def test_hole_free_pass_equals_the_per_lag_oracle(n):
+    rng = np.random.default_rng(n)
+    for span, k in ((18, 9), (20, 11), (33, 12)):
+        masks = _random_masks(rng, n, span, k)
+        for lags in (0, 1, span - search._OUTER - 1, span):
+            assert search._hole_free(masks, lags).tolist() == oracle_complete(masks, lags).tolist()
+    if n > search.SMALL_POOL:
+        # at (18, 9) about a fifth of the masks are hole-free
+        masks = _random_masks(rng, n, 18, 9)
+        assert 0 < search._hole_free(masks, 18).size < n
+
+
+@pytest.mark.parametrize("n", POOL_SIZES)
+def test_fragility_cut_equals_the_per_lag_oracle_seeded_or_not(n):
+    rng = np.random.default_rng(100 + n)
+    t = search._OUTER
+    for span, k, bound in ((24, 10, 8), (20, 9, 6), (9, 5, 3), (6, 4, 2), (40, 14, 10)):
+        masks = _random_masks(rng, n, span, k)
+        want = oracle_fragility_cut(masks, span, k, bound).tolist()
+        seed = np.zeros_like(masks)
+        for d in range(max(1, span - t), span + 1):
+            seed |= oracle_lag_essential(masks, d)
+        assert search._fragility_cut(masks, span, k, bound).tolist() == want, (span, k)
+        assert search._fragility_cut(masks, span, k, bound, seed).tolist() == want, (span, k)
+        if n > search.SMALL_POOL and span == 24:
+            # the bound keeps some masks and drops others
+            assert 0 < len(want) < n
+
+
+@pytest.mark.parametrize("n", POOL_SIZES)
+def test_lag_pairs_equal_the_per_lag_oracle_in_a_contiguous_uint8_matrix(n):
+    # a C-contiguous (masks x lags) matrix keeps each row's leakage sum in
+    # the order leakage_from_profile takes, bit for bit
+    rng = np.random.default_rng(200 + n)
+    for span, k in ((40, 12), (20, 10), (63, 30)):
+        masks = _random_masks(rng, n, span, k)
+        for lags in (0, 1, 15, span):
+            pairs = search._lag_pairs(masks, lags)
+            assert pairs.dtype == np.uint8 and pairs.shape == (n, lags)
+            assert pairs.flags.c_contiguous
+            assert np.array_equal(pairs, oracle_lag_pairs(masks, lags))
+
+
 def test_candidate_blocks_are_bounded_and_complete(monkeypatch):
     # every rule off yields every candidate or its reflection; with the outer
     # prune on, the joined outer x inner blocks keep the same bound ((18, 8)
@@ -931,8 +1004,9 @@ def _leaf_calls(monkeypatch):
             leaf[:] = [None, None]
 
     def spy_mark(pairs, d, middles):
+        # d is one lag, or a column of lags that one call marks in its order
         if leaf[0] is not None:
-            leaf[0].append(("mark", leaf[1], d))
+            leaf[0].extend(("mark", leaf[1], lag) for lag in np.ravel(d).tolist())
         return mark(pairs, d, middles)
 
     def spy_pairs(masks, lags):
