@@ -166,14 +166,15 @@ def _pair_pass(elems, counts):
     return ends, middle
 
 
-def _weight_one_ends(pos, counts, factors):
+def _weight_one_ends(array):
     # E1, the sensors that end a weight-1 pair. For X = G + m * Y, w_X is
     # w_G(l1) * w_Y(l2), and l1 = 0 or l2 = 0 weighs |G| or |Y| >= 2, so
     # E1(X) = E1(G) x E1(Y) in X's order: Y's sensors in the rows
-    if factors is None:
-        return _pair_pass(pos, counts)[0]
-    g, _, y = factors
-    return np.logical_and.outer(_weight_one_ends(*y), _weight_one_ends(*g)).ravel()
+    prof = difference_coarray(array)
+    if prof.factors is None:
+        return _pair_pass(array.as_array(), prof.counts)[0]
+    g, _, y = prof.factors
+    return np.logical_and.outer(_weight_one_ends(y), _weight_one_ends(g)).ravel()
 
 
 def economy(array):
@@ -181,14 +182,14 @@ def economy(array):
     fraction as an exact rational.
 
     A sensor is essential iff it ends a pair at a weight-1 lag or sits
-    between the two pairs of a weight-2 lag. When the coarray was counted
-    from a factorisation X = G + M * Y (core.CoarrayProfile.factors), no
-    sensor is such a middle: the triple x - L, x, x + L needs a triple at
-    l1 in G (or l1 = 0) and one at l2 in Y (or l2 = 0), so w_X(L) =
-    w_G(l1) w_Y(l2) >= 2 * 2. The essential set is then E1(G) x E1(Y),
-    each factor's sensors that end a weight-1 pair, found the same way,
-    and C1 holds iff it holds for both factors. The cost is that of the
-    factors, not O(N^2).
+    between the two pairs of a weight-2 lag. When the array's profile
+    factors it as X = G + M * Y (core.CoarrayProfile.factors), no sensor is
+    such a middle: the triple x - L, x, x + L needs a triple at l1 in G (or
+    l1 = 0) and one at l2 in Y (or l2 = 0), so w_X(L) = w_G(l1) w_Y(l2) >=
+    2 * 2. The essential set is then E1(G) x E1(Y), each factor's sensors
+    that end a weight-1 pair, found the same way from the factor's own
+    profile, and C1 holds iff it holds for both factors. The cost is that
+    of the factors, not O(N^2), and X's count vector is never read.
 
     Any other array takes one walk over the folded pair blocks of
     core.pair_blocks, O(N^2) at worst, which stops as soon as every sensor
@@ -205,7 +206,7 @@ def economy(array):
         ends, middle = _pair_pass(elems, prof.counts)
         mask = ends | middle
     else:
-        mask = ends = _weight_one_ends(elems, prof.counts, prof.factors)
+        mask = ends = _weight_one_ends(array)
     essential = tuple(elems[mask].tolist())
     inessential = tuple(elems[~mask].tolist())
     return EconomyReport(essential, inessential, Fraction(int(mask.sum()), n),

@@ -28,7 +28,7 @@ from .core import (ArrayFormatError, SensorArray, _array_json, difference_coarra
                    load_array)
 from .coupling import CouplingModel, leakage_from_profile
 from .doa import Scenario, equally_spaced_thetas, run_sweep
-from .fractal import MAX_ORDER, _orders, expand
+from .fractal import MAX_ORDER, expand
 from .search import APERTURE_GUARD, MAX_SPAN, DesignConstraints, solve_p1
 
 
@@ -67,29 +67,26 @@ def _write_output(path, text, argv, args):
         fh.write(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
-def _summary_line(array, hole_free=False):
-    """One line of sizes and coarray facts. hole_free=True states that the
-    array is known to be hole-free, as an expansion of hole-free generators
-    is: then |D| = |U| = 2 * aperture + 1 and no pair is counted."""
-    if hole_free:
-        dof = ula = 2 * array.aperture + 1
-    else:
-        p = difference_coarray(array)
-        dof, ula, hole_free = p.dof, p.ula_size, p.hole_free
-    return (f"N={len(array)} aperture={array.aperture} |D|={dof} "
-            f"|U|={ula} hole_free={hole_free} "
+def _summary_line(array):
+    """One line of sizes and coarray facts, all read from the array's
+    profile: an array that factors gives them from its factors, so an
+    expansion of hole-free generators of core.FACTOR_MIN sensors or more
+    builds no count vector of its own."""
+    p = difference_coarray(array)
+    return (f"N={len(array)} aperture={array.aperture} |D|={p.dof} "
+            f"|U|={p.ula_size} hole_free={p.hole_free} "
             f"symmetric={is_symmetric(array)}")
 
 
-def _emit_array(array, args, argv, hole_free=False):
+def _emit_array(array, args, argv):
     text = _array_json(array)
     if args.out:
         _write_output(args.out, text, argv, args)
-        print(_summary_line(array, hole_free))
+        print(_summary_line(array))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
-        print(_summary_line(array, hole_free), file=sys.stderr)
+        print(_summary_line(array), file=sys.stderr)
     return 0
 
 
@@ -239,11 +236,7 @@ def _cmd_expand(args, argv):
     out = expand(generators, args.order, max_order=args.max_order)
     if args.name:
         out = SensorArray(out.elements, name=args.name)
-    # hole-free generators expand to a hole-free array (the M^r law), so
-    # the summary line needs no pair count
-    orders = _orders(generators, args.order)
-    hole_free = bool(orders) and all(difference_coarray(g).hole_free for g, _ in orders)
-    return _emit_array(out, args, argv, hole_free)
+    return _emit_array(out, args, argv)
 
 
 def _cmd_baseline(args, argv):

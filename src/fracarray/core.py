@@ -7,7 +7,7 @@ units only matter at display time.
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -182,25 +182,6 @@ def _product_counts(g_counts, m, y_counts):
     return counts
 
 
-class _Tally(NamedTuple):
-    """The pair counts of sorted positions, and how they were made: factors
-    is (g, m, y), the tallies of G and Y with pos = G + m * Y, or None when
-    the pairs were walked."""
-
-    pos: np.ndarray
-    counts: np.ndarray
-    factors: tuple | None
-
-
-def _tally(pos):
-    split = _factor(pos) if pos.size >= FACTOR_MIN else None
-    if split is None:
-        return _Tally(pos, _pair_counts(pos), None)
-    n1, m = split
-    g, y = _tally(pos[:n1].copy()), _tally(pos[::n1] // m)
-    return _Tally(pos, _product_counts(g.counts, m, y.counts), (g, m, y))
-
-
 class CoarrayProfile:
     """Difference coarray of one array: lags, multiplicities, central ULA.
 
@@ -213,37 +194,61 @@ class CoarrayProfile:
         central_ula_halfwidth: largest m with all of [-m, m] present
         ula_size: central ULA size M = 2m + 1, the copy spacing factor of
             fractal expansion
-        factors: (g, m, y) when the counts came from a factorisation
-            X = G + m * Y, with g and y the (pos, counts, factors) tallies
-            of G and Y; None when the pairs were walked
+        factors: (G, m, Y) when the array factors as X = G + m * Y, with G
+            and Y arrays whose own profiles difference_coarray keeps; None
+            when the pairs were walked
 
     An array of FACTOR_MIN sensors or more is factored when it can be: G is
     its first n1 sensors (n1 divides N, 2 <= n1 <= N/2), every block of n1
     sensors is a translate of G, and m, the gcd of the translates, is at
     least 2 * max(G) + 1. Every lag then splits uniquely as l1 + m * l2
     with |l1| <= max(G), so w_X = w_G(l1) * w_Y(l2) exactly, whether or not
-    G and Y have holes, and the counts are one int64 outer product of the
-    factors' counts, each found the same way: O(N + aperture) in all.
-    Expansions of hole-free generators factor from order 2 on. Those of
-    holed ones (m = |U| < 2 * max(G) + 1), the baselines and most other
-    arrays do not, and take the O(N^2) pair walk.
+    G and Y have holes. The summary follows from the factors' summaries:
+    dof = dof_G * dof_Y, and since m >= 2 * max(G) + 1 >= |U_G|, with
+    equality only when G is hole-free, the rows l2 of G's lags tile the
+    line exactly when m = |U_G|. Then X takes Y's holes, so X is hole-free
+    iff Y is and its half-width is max(G) + m * h_Y; otherwise it is h_G.
+    The counts, one int64 outer product of the factors' counts, are built
+    only when first read: O(N + aperture) in all. Expansions of hole-free
+    generators factor from order 2 on. Those of holed ones (m = |U| <
+    2 * max(G) + 1), the baselines and most other arrays do not, and take
+    the O(N^2) pair walk for their counts and summary.
     """
 
     def __init__(self, array):
         pos = array.as_array()
         self.aperture = int(pos[-1])
-        tally = _tally(pos)
-        self.counts = tally.counts
-        self.factors = tally.factors
-        self.counts.setflags(write=False)
-        # the one pass over the counts: the holes give dof, hole_free and the
-        # half-width, since lag 0 always has a pair
-        missing = np.flatnonzero(self.counts == 0)
-        self.dof = 2 * (self.counts.size - missing.size) - 1
-        self.hole_free = not missing.size
-        m = int(missing[0]) - 1 if missing.size else self.aperture
+        split = _factor(pos) if pos.size >= FACTOR_MIN else None
+        if split is None:
+            self.factors = None
+            self.counts = _pair_counts(pos)
+            self.counts.setflags(write=False)
+            # the one pass over the counts: the holes give dof, hole_free and
+            # the half-width, since lag 0 always has a pair
+            missing = np.flatnonzero(self.counts == 0)
+            self.dof = 2 * (self.counts.size - missing.size) - 1
+            self.hole_free = not missing.size
+            m = int(missing[0]) - 1 if missing.size else self.aperture
+        else:
+            n1, step = split
+            g = SensorArray._trusted(pos[:n1].tolist())
+            y = SensorArray._trusted((pos[::n1] // step).tolist())
+            self.factors = (g, step, y)
+            pg, py = difference_coarray(g), difference_coarray(y)
+            self.dof = pg.dof * py.dof
+            tiled = step == pg.ula_size
+            self.hole_free = tiled and py.hole_free
+            m = g.aperture + step * py.central_ula_halfwidth if tiled else pg.central_ula_halfwidth
         self.central_ula_halfwidth = m
         self.ula_size = 2 * m + 1
+
+    @cached_property
+    def counts(self):
+        # a walked profile sets its counts on itself, so only a factored one gets here
+        g, m, y = self.factors
+        counts = _product_counts(difference_coarray(g).counts, m, difference_coarray(y).counts)
+        counts.setflags(write=False)
+        return counts
 
     def __repr__(self):
         return (f"CoarrayProfile(aperture={self.aperture}, dof={self.dof}, "
@@ -255,7 +260,8 @@ def difference_coarray(array):
     array's factors when it factors, else from one walk over its pairs.
 
     The profile is built once per array and kept on it: a SensorArray never
-    changes, so every later call returns the same profile."""
+    changes, so every later call returns the same profile. A factored
+    profile builds its factors' profiles, each kept on its factor."""
     try:
         return array._coarray
     except AttributeError:

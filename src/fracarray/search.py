@@ -367,20 +367,16 @@ def _mark_essential(pairs, d, middles):
     return ess
 
 
-def _fragility_cut(masks, span, k, bound, seed=None):
+def _fragility_cut(masks, span, k, bound, seed):
     """The size-k masks with at most bound essential sensors, by
-    _mark_essential at every lag. A single sensor counts as essential. Lags
-    run from the longest, whose pairs are rarest; the essential set only
-    grows, so a mask leaves once it holds more than bound. Once the pool
-    holds at most SMALL_POOL masks, the lags left take one (lags x masks)
-    pass. seed, when given, holds each mask's essential sensors at lags
-    span - t .. span (t = _OUTER), and the cut starts at lag span - t - 1."""
-    ess = masks.copy() if k == 1 else np.zeros_like(masks)
-    first = span
-    if seed is not None:
-        ess |= seed
-        first = span - _OUTER - 1
-    for d in range(first, 0, -1):
+    _mark_essential at every lag. A single sensor counts as essential. seed
+    holds each mask's essential sensors at lags span - t .. span (t =
+    _OUTER), and the cut goes on from lag span - t - 1. Lags run from the
+    longest, whose pairs are rarest; the essential set only grows, so a
+    mask leaves once it holds more than bound. Once the pool holds at most
+    SMALL_POOL masks, the lags left take one (lags x masks) pass."""
+    ess = seed | masks if k == 1 else seed.copy()
+    for d in range(span - _OUTER - 1, 0, -1):
         if masks.size <= SMALL_POOL:
             # lag 1 may have a middle once span >= 2, so the pass looks for them
             lags = np.arange(d, 0, -1, dtype=np.uint64)[:, None]
@@ -433,12 +429,12 @@ def _outer_seed(masks, span, k, symmetric, outer_table):
     return ess[(masks >> 1) & low | (masks >> (span - n_out)) & ((1 << n_out) - 1 - low)]
 
 
-def _feasible(masks, span, k, cons, outer_table=None):
+def _feasible(masks, span, k, cons, outer_table):
     """The masks of one pool that pass leakage, then fragility; the pool
     holds only hole-free masks when that rule is on. A rule set to 1 passes
-    every mask and makes no pass. With outer_table, the one the pool was
-    built from, the fragility cut starts from the essential sensors that
-    the table holds for each mask's outer pattern."""
+    every mask and makes no pass. The fragility cut starts from the
+    essential sensors that outer_table, the one the pool was built from,
+    holds for each mask's outer pattern."""
     if cons.max_leakage < 1:
         # the leakage formula check_constraints uses, on the coupled lags
         pairs = _lag_pairs(masks, min(cons.coupling.q, span))
@@ -448,8 +444,7 @@ def _feasible(masks, span, k, cons, outer_table=None):
     # a mask holds k sensors, so at most k are essential
     if bound >= k or not masks.size:
         return masks
-    seed = None if outer_table is None else _outer_seed(masks, span, k, cons.require_symmetric,
-                                                         outer_table)
+    seed = _outer_seed(masks, span, k, cons.require_symmetric, outer_table)
     return _fragility_cut(masks, span, k, bound, seed)
 
 

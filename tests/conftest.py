@@ -200,6 +200,16 @@ def oracle_lag_essential(masks, d):
     return ends | middle
 
 
+def oracle_outer_seed(masks, span):
+    """The sensors lags span - t .. span make essential in each mask, t =
+    search._OUTER, one lag at a time: the seed the fragility cut starts
+    from, which the search reads from its outer table."""
+    ess = np.zeros_like(masks)
+    for d in range(max(1, span - search._OUTER), span + 1):
+        ess |= oracle_lag_essential(masks, d)
+    return ess
+
+
 def oracle_complete(masks, lags):
     """search._hole_free one lag at a time, with no early exit: the masks
     with a pair at every lag 1..lags."""

@@ -24,7 +24,9 @@ from conftest import (
     G_ELEMS,
     arrays_with_aperture_upto,
     mixed_sequences,
+    oracle_central_halfwidth,
     oracle_collision_free,
+    oracle_differences,
     oracle_economy,
     oracle_essential,
     oracle_fractal_weight,
@@ -551,20 +553,33 @@ def test_essential_plus_inessential_partition():
 # lower the switch with the factor_from_four fixture, so that arrays small
 # enough for the removal definition take that route.
 
+def _assert_summary(prof, elems):
+    # dof, hole_free and the half-width each equal their definition on the
+    # set of differences
+    h = oracle_central_halfwidth(elems)
+    assert (prof.dof, prof.hole_free, prof.central_ula_halfwidth, prof.ula_size) == (
+        len(oracle_differences(elems)), oracle_hole_free(elems), h, 2 * h + 1)
+    assert type(prof.dof) is int and type(prof.hole_free) is bool
+    assert type(prof.central_ula_halfwidth) is int
+
+
 def _assert_route(arr, factored):
-    # the coarray took the route named; its counts equal the oracle's and
-    # the direct walk's, element for element and in dtype, and economy
-    # equals the removal definition
+    # the coarray took the route named; its summary equals the oracle's,
+    # and a factored profile has built no counts for it, nor for economy,
+    # which equals the removal definition; its counts, once read, equal the
+    # oracle's and the direct walk's, element for element and in dtype
     prof = difference_coarray(arr)
     assert (prof.factors is not None) is factored
+    _assert_summary(prof, arr.elements)
+    rep = economy(arr)
+    assert rep == oracle_economy(arr.elements)
+    assert ("counts" in vars(prof)) is not factored
     w = oracle_weight_map(arr.elements)
     walked = fracarray.core._pair_counts(arr.as_array())
     assert prof.counts.dtype == walked.dtype == np.int64
     assert prof.counts.tolist() == walked.tolist() == [
         w.get(lag, 0) for lag in range(arr.aperture + 1)]
     assert not prof.counts.flags.writeable
-    rep = economy(arr)
-    assert rep == oracle_economy(arr.elements)
     return rep
 
 
@@ -673,6 +688,64 @@ def test_product_route_at_the_switch_equals_the_walk(arr, monkeypatch):
     assert walked.factors is None
     assert prof.counts.dtype == walked.counts.dtype and np.array_equal(prof.counts, walked.counts)
     assert economy(fresh) == rep
+
+
+@pytest.mark.parametrize("g, m, y, halfwidth", [
+    ((0, 1, 4, 9), 19, (0, 1, 4, 6), 1),    # G has a hole: h_G
+    ((0, 1, 4, 9), 19, (0, 1, 4, 9), 1),    # G and Y have holes: h_G
+    ((0, 1, 4, 6), 14, (0, 1, 4, 6), 6),    # m > |U_G|: the gap after max(G)
+    ((0, 1, 4, 6), 20, (0, 1, 2), 6),
+    ((0, 1, 4, 6), 13, (0, 1, 4, 9), 19),   # m = |U_G|: max(G) + m h_Y
+    ((0, 1, 4, 6), 13, (0, 1, 2), 32),      # ... hole-free, h_Y = max(Y)
+    ((0, 1, 2), 5, (0, 2, 5, 9), 2),        # h_Y = 0: max(G)
+], ids=("G-holed", "both-holed", "m-wide", "m-wide-Y-ula", "tiled-Y-holed", "tiled",
+        "tiled-Y-holed-at-1"))
+def test_factored_half_width_in_each_case(g, m, y, halfwidth, factor_from_four):
+    arr = SensorArray(oracle_product(g, m, y))
+    prof = difference_coarray(arr)
+    fg, fm, fy = prof.factors
+    assert (fg.elements, fm, fy.elements) == (g, m, y)
+    assert prof.central_ula_halfwidth == halfwidth
+    assert prof.hole_free is (halfwidth == arr.aperture)
+    assert prof.dof == difference_coarray(fg).dof * difference_coarray(fy).dof
+    _assert_summary(prof, arr.elements)
+    assert "counts" not in vars(prof)
+
+
+def test_factored_counts_are_built_when_first_read(factor_from_four):
+    arr = expand(SensorArray((0, 1, 4, 6)), 3)
+    prof = difference_coarray(arr)
+    assert prof.factors is not None and "counts" not in vars(prof)
+    economy(arr)
+    assert "counts" not in vars(prof)
+    counts = prof.counts
+    assert vars(prof)["counts"] is counts and prof.counts is counts
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert np.array_equal(counts, fracarray.core._pair_counts(arr.as_array()))
+    with pytest.raises(ValueError):
+        counts[0] = 0
+    # a walked profile counts on construction
+    walked = difference_coarray(SensorArray((0, 1, 4, 6)))
+    assert walked.factors is None and "counts" in vars(walked)
+
+
+def test_each_factor_profile_is_built_once(factor_from_four, coarray_builds):
+    # (0,1,4,6)^4 = G + 13 (0,1,4,6)^3, down to (0,1,4,6) = G, which walks;
+    # each factor is its own array and keeps its own profile
+    arr = expand(SensorArray((0, 1, 4, 6)), 4)
+    coarray_builds.clear()
+    prof = difference_coarray(arr)
+    g = (0, 1, 4, 6)
+    assert [a.elements for a in coarray_builds] == [
+        arr.elements, g, expand(SensorArray(g), 3).elements, g,
+        expand(SensorArray(g), 2).elements, g, g]
+    assert len({id(a) for a in coarray_builds}) == len(coarray_builds)
+    for a in coarray_builds:
+        assert a._coarray is difference_coarray(a)
+    coarray_builds.clear()
+    economy(arr)
+    assert prof.counts.size == arr.aperture + 1 and difference_coarray(arr) is prof
+    assert coarray_builds == []
 
 
 def test_a_factored_product_walks_no_pairs_of_its_own(monkeypatch):

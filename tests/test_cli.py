@@ -205,10 +205,35 @@ def test_expand_multi_generators(tmp_path):
     assert doc["name"] == "combo"
 
 
+def _spy_count_vectors(monkeypatch, most=None):
+    """The length of every count vector built from here on, by the walk
+    (_pair_counts) or from factors (_product_counts), in build order. With
+    most, a vector longer than that fails at once, before it is allocated."""
+    sizes = []
+    walk, product = core._pair_counts, core._product_counts
+
+    def seen(size):
+        assert most is None or size <= most, f"count vector of {size} entries built"
+        sizes.append(size)
+
+    def spy_walk(pos):
+        seen(int(pos[-1]) + 1)
+        return walk(pos)
+
+    def spy_product(g_counts, m, y_counts):
+        seen(g_counts.size + m * (y_counts.size - 1))
+        return product(g_counts, m, y_counts)
+
+    monkeypatch.setattr(core, "_pair_counts", spy_walk)
+    monkeypatch.setattr(core, "_product_counts", spy_product)
+    return sizes
+
+
 def _expand_summary(gens, order, tmp_path, capsys, monkeypatch):
     """Run expand on generator element tuples; return its summary line, the
-    counted line of the array it wrote, and every array a coarray was
-    built for during the run."""
+    line of the array it wrote with every coarray counted by the pair walk,
+    the arrays a coarray was built for during the run and the lengths of
+    the count vectors built."""
     files = [_write(tmp_path / f"gen{i}.json", g) for i, g in enumerate(gens)]
     out = tmp_path / "out.json"
     built = []
@@ -220,9 +245,22 @@ def _expand_summary(gens, order, tmp_path, capsys, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(core.CoarrayProfile, "__init__", spy)
+        sizes = _spy_count_vectors(m)
         assert main(["expand", *files, "--order", str(order), "--out", str(out)]) == 0
     line = capsys.readouterr().out.splitlines()[0]
-    return line, cli._summary_line(load_array(out)), built
+    with monkeypatch.context() as m:
+        # no array factors, so the line is the counted one
+        m.setattr(core, "FACTOR_MIN", float("inf"))
+        counted = cli._summary_line(load_array(out))
+    return line, counted, built, sizes
+
+
+def _assert_factored_without_its_count_vector(gens, out, sizes):
+    # an expansion of hole-free generators large enough to factor takes its
+    # line from its factors: no count vector of its size is built
+    if all(oracle_hole_free(g) for g in gens) and len(out) >= core.FACTOR_MIN:
+        assert difference_coarray(out).factors is not None
+        assert sizes and max(sizes) < out.aperture + 1
 
 
 @pytest.mark.parametrize("gens, order", [
@@ -234,12 +272,10 @@ def _expand_summary(gens, order, tmp_path, capsys, monkeypatch):
         "holed^1", "holed^3", "g,holed", "holed,g,ula", "g,holed@1"])
 def test_expand_summary_line_equals_the_counted_line(gens, order, tmp_path, capsys,
                                                      monkeypatch):
-    line, counted, built = _expand_summary(gens, order, tmp_path, capsys, monkeypatch)
+    line, counted, _, sizes = _expand_summary(gens, order, tmp_path, capsys, monkeypatch)
     assert line == counted
-    used = gens[:order]
-    if used and all(oracle_hole_free(g) for g in used):
-        # the M^r law gives the line: only generators get a coarray
-        assert all(a.elements in gens for a in built)
+    _assert_factored_without_its_count_vector(gens[:order], load_array(tmp_path / "out.json"),
+                                              sizes)
 
 
 def _holed_elements(rng):
@@ -259,28 +295,23 @@ def test_expand_summary_line_on_random_mixed_sequences(seed, hole_free_pool, tmp
     if seed % 3 == 0:
         # one holed generator at a random order sends the line to the counted route
         gens[int(rng.integers(3))] = _holed_elements(rng)
-    line, counted, built = _expand_summary(gens, 3, tmp_path, capsys, monkeypatch)
+    line, counted, built, sizes = _expand_summary(gens, 3, tmp_path, capsys, monkeypatch)
     assert line == counted
-    if all(oracle_hole_free(g) for g in gens):
-        assert all(a.elements in gens for a in built)
-    else:
-        assert load_array(tmp_path / "out.json") in built
+    out = load_array(tmp_path / "out.json")
+    _assert_factored_without_its_count_vector(gens, out, sizes)
+    if not all(oracle_hole_free(g) for g in gens):
+        assert out in built
 
 
 def test_expand_order_8_in_bounded_memory(tmp_path, capsys, monkeypatch):
-    # (0,1,4,6)^8: N = 65,536 and A = 407,865,360, whose counted summary line
-    # would allocate a 3 GiB count vector per block; the line comes from
-    # the generator instead
+    # (0,1,4,6)^8: N = 65,536 and A = 407,865,360, whose count vector would
+    # take 3 GiB; the line comes from its factors instead, down to the
+    # walked (0,1,4,6) and (0,1,4,6)^3
     gen = _write(tmp_path / "g.json", (0, 1, 4, 6))
     out = tmp_path / "g8.json"
-    init = core.CoarrayProfile.__init__
-
-    def generators_only(self, array):
-        # fail at once, not after gigabytes, if the expansion gets counted
-        assert len(array) <= 4, f"coarray of {len(array)} sensors built"
-        init(self, array)
-
-    monkeypatch.setattr(core.CoarrayProfile, "__init__", generators_only)
+    aperture = (13 ** 8 - 1) // 2
+    # fail at once, not after gigabytes, if the expansion gets counted
+    sizes = _spy_count_vectors(monkeypatch, most=2 ** 20)
     tracemalloc.start()
     try:
         code = main(["expand", gen, "--order", "8", "--out", str(out)])
@@ -288,12 +319,43 @@ def test_expand_order_8_in_bounded_memory(tmp_path, capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    aperture = (13 ** 8 - 1) // 2
     assert capsys.readouterr().out == (
         f"N=65536 aperture={aperture} |D|={2 * aperture + 1} |U|={2 * aperture + 1} "
         f"hole_free=True symmetric=False\nwrote {out}\n")
+    assert sizes and max(sizes) < aperture + 1
     assert load_array(out) == expand(SensorArray((0, 1, 4, 6)), 8)
     assert peak < 200 * 2 ** 20
+
+
+def test_analyze_order_8_from_its_factors(tmp_path, capsys, monkeypatch):
+    # every row of (0,1,4,6)^8 comes from its factors: the M^r law gives
+    # |D| = |U| = 2A + 1, and economy E1(G) x E1(Y), every sensor, with no
+    # count vector of the expansion's 3 GiB built
+    src = tmp_path / "g8.json"
+    core.dump_array(expand(SensorArray((0, 1, 4, 6)), 8), src)
+    aperture = (13 ** 8 - 1) // 2
+    sizes = _spy_count_vectors(monkeypatch, most=2 ** 20)
+    tracemalloc.start()
+    try:
+        code = main(["analyze", str(src)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[2:] == [
+        "sensors             65536",
+        f"aperture            {aperture}",
+        f"coarray size |D|    {2 * aperture + 1}",
+        f"central ULA |U|     {2 * aperture + 1}",
+        "hole-free           True",
+        "symmetric           False",
+        "fragility           1/1 (1.0000)",
+        "maximally economic  True",
+        "C1 satisfied        True",
+    ]
+    assert sizes and max(sizes) < aperture + 1
+    assert peak < 64 * 2 ** 20
 
 
 def test_parser_is_built_once_and_handlers_looked_up_per_call(tmp_path, monkeypatch, capsys):

@@ -33,6 +33,7 @@ from conftest import (
     oracle_fragility_cut,
     oracle_lag_essential,
     oracle_lag_pairs,
+    oracle_outer_seed,
     oracle_outer_table,
     oracle_smallest_sizes,
     oracle_solve_p1,
@@ -528,16 +529,18 @@ def test_essential_counts_equal_economy_at_span_12():
         counts = [sum(oracle_essential(c)) for c in cands]
         checked += len(cands)
         hole_free += sum(difference_coarray(SensorArray(c)).hole_free for c in cands)
+        seed = oracle_outer_seed(masks, span)
         for bound in range(k + 1):
-            kept = search._fragility_cut(masks, span, k, bound).tolist()
+            kept = search._fragility_cut(masks, span, k, bound, seed).tolist()
             assert kept == [m for m, n in zip(masks.tolist(), counts) if n <= bound], (k, bound)
             assert oracle_fragility_cut(masks, span, k, bound).tolist() == kept, (k, bound)
     assert checked == 2 ** (span - 1)
     assert hole_free > 100
     # the single sensor is essential, and span 0 has no lag to walk
     single = np.array([1], dtype=np.uint64)
-    assert search._fragility_cut(single, 0, 1, 0).tolist() == []
-    assert search._fragility_cut(single, 0, 1, 1).tolist() == [1]
+    seed = oracle_outer_seed(single, 0)
+    assert search._fragility_cut(single, 0, 1, 0, seed).tolist() == []
+    assert search._fragility_cut(single, 0, 1, 1, seed).tolist() == [1]
 
 
 @pytest.mark.parametrize("kw", [
@@ -594,16 +597,16 @@ def test_hole_free_pass_equals_the_per_lag_oracle(n):
 
 @pytest.mark.parametrize("n", POOL_SIZES)
 def test_fragility_cut_equals_the_per_lag_oracle_seeded_or_not(n):
+    # the seed is built lag by lag here, and read from the outer table in
+    # the search (test_outer_seed_holds_the_essential_sensors_of_the_outer_lags)
     rng = np.random.default_rng(100 + n)
-    t = search._OUTER
     for span, k, bound in ((24, 10, 8), (20, 9, 6), (9, 5, 3), (6, 4, 2), (40, 14, 10)):
         masks = _random_masks(rng, n, span, k)
         want = oracle_fragility_cut(masks, span, k, bound).tolist()
-        seed = np.zeros_like(masks)
-        for d in range(max(1, span - t), span + 1):
-            seed |= oracle_lag_essential(masks, d)
-        assert search._fragility_cut(masks, span, k, bound).tolist() == want, (span, k)
+        seed = oracle_outer_seed(masks, span)
         assert search._fragility_cut(masks, span, k, bound, seed).tolist() == want, (span, k)
+        # the cut leaves its seed as it was
+        assert (seed == oracle_outer_seed(masks, span)).all()
         if n > search.SMALL_POOL and span == 24:
             # the bound keeps some masks and drops others
             assert 0 < len(want) < n
@@ -935,7 +938,7 @@ def test_seeded_fragility_cut_equals_the_full_lag_cut_on_every_pool(kw, monkeypa
     # walking every lag keeps
     cut, seeded = search._fragility_cut, []
 
-    def spy(masks, span, k, bound, seed=None):
+    def spy(masks, span, k, bound, seed):
         kept = cut(masks, span, k, bound, seed)
         assert seed is not None and seed.shape == masks.shape
         assert kept.tolist() == oracle_fragility_cut(masks, span, k, bound).tolist(), (span, k)
@@ -959,9 +962,7 @@ def test_outer_seed_holds_the_essential_sensors_of_the_outer_lags(symmetric):
     for span in range(1, 25):
         for k in range(1, span + 2):
             for masks in search._candidate_blocks(span, k, symmetric, _EVERY):
-                ess = np.zeros_like(masks)
-                for d in range(max(1, span - t), span + 1):
-                    ess |= oracle_lag_essential(masks, d)
+                ess = oracle_outer_seed(masks, span)
                 seed = search._outer_seed(masks, span, k, symmetric, _EVERY)
                 assert (seed == ess).all(), (span, k)
                 if 2 * t >= span:
@@ -973,29 +974,13 @@ def test_outer_seed_holds_the_essential_sensors_of_the_outer_lags(symmetric):
     assert middles > 0
 
 
-def test_a_direct_leaf_call_without_a_table_walks_every_lag():
-    # a mirror image or a mask with an uncovered outer lag is never pooled;
-    # _feasible without its table still decides it by every lag
-    cons = DesignConstraints(max_aperture=20, max_fragility=Fraction(2, 5))
-    span, k, bound = 20, 10, 4
-    built = np.concatenate(list(search._candidate_blocks(span, k, False, _EVERY)))
-    mirror = _reflect(built, span)
-    for masks in (np.setdiff1d(mirror, built), built[(built & (built >> (span - 1))) == 0]):
-        assert masks.size
-        pairs = search._lag_pairs(masks, min(cons.coupling.q, span))
-        fit = masks[coupling.leakage_from_counts(pairs, k, cons.coupling.c1_magnitude)
-                    <= cons.max_leakage]
-        want = oracle_fragility_cut(fit, span, k, bound)
-        assert want.size and search._feasible(masks, span, k, cons).tolist() == want.tolist()
-
-
 def _leaf_calls(monkeypatch):
     """The _mark_essential lags and _lag_pairs calls made inside _feasible,
     one list of (function, span, lag) per leaf call."""
     calls, leaf = [], [None, None]
     feasible, mark, lag_pairs = search._feasible, search._mark_essential, search._lag_pairs
 
-    def spy_feasible(masks, span, k, cons, outer_table=None):
+    def spy_feasible(masks, span, k, cons, outer_table):
         leaf[:] = [[], span]
         calls.append(leaf[0])
         try:
@@ -1036,7 +1021,7 @@ def test_the_leaf_cut_marks_only_the_lags_below_the_seed(monkeypatch):
     assert marked > 0
 
 
-def _full_leaf(masks, span, k, cons, outer_table=None):
+def _full_leaf(masks, span, k, cons, outer_table):
     """The leaf with both passes run on every pool, whatever the rules:
     leakage by the shared formula, then the cut that walks every lag."""
     pairs = search._lag_pairs(masks, min(cons.coupling.q, span))
@@ -1138,7 +1123,8 @@ def test_kernel_leakage_decisions_match_check_constraints_at_the_cap():
             cons = DesignConstraints(max_aperture=20, require_hole_free=False,
                                      max_fragility=1, max_leakage=float(cap))
             assert check_constraints(arr, cons).feasible is accept
-            assert search._feasible(mask, 20, k=10, cons=cons).size == accept
+            outer_table = functools.partial(search._outer_table, cons=cons)
+            assert search._feasible(mask, 20, 10, cons, outer_table).size == accept
 
 
 @pytest.mark.parametrize("span,k,q,c1", [
